@@ -9,6 +9,7 @@ classification.
 from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 from .generators import (
+    CappedGenerator,
     Delta2Profile,
     ExpMinusOneGenerator,
     IndicatorGenerator,

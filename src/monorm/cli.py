@@ -8,6 +8,7 @@ failure (so scripts can tell input problems from numerical ones).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -38,7 +39,15 @@ __all__ = ["run", "main"]
 
 
 def _eps_eq() -> float:
-    scale = float(os.environ.get("MO_TOL_OVERRIDE", "1.0"))
+    """EPS_EQ scaled by the MO_TOL_OVERRIDE factor, which must be a finite
+    number > 0."""
+    raw = os.environ.get("MO_TOL_OVERRIDE", "1.0")
+    try:
+        scale = float(raw)
+    except ValueError:
+        scale = math.nan
+    if not (math.isfinite(scale) and scale > 0):
+        raise MonormError(f"MO_TOL_OVERRIDE must be a finite number > 0, got {raw!r}")
     return EPS_EQ * scale
 
 

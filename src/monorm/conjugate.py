@@ -1,6 +1,7 @@
 """Legendre-Fenchel conjugation and Young-inequality diagnostics.
 
-Closed-form families carry their own conjugates; anything else goes through
+Closed-form families carry their own conjugates, and so does truncate(phi, n)
+when phi does (phi* capped at n); anything else goes through
 NumericConjugate, which maximizes the concave map u -> u*v - phi(t,u) by
 bracket expansion plus golden-section search, evaluating the domain boundary
 explicitly because the supremum may be attained only there.
@@ -160,10 +161,17 @@ class NumericConjugate(OrliczGenerator):
         return EXT_INF
 
 
-@lru_cache(maxsize=None)
+#: the cache saves object construction and keeps one NumericConjugate (with
+#: its bound cache) per generator within a computation; the size bound keeps
+#: a long run over fresh generators from growing memory
+CONJUGATE_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=CONJUGATE_CACHE_SIZE)
 def conjugate(gen: OrliczGenerator) -> OrliczGenerator:
-    """The complementary generator: analytic when the family knows it,
-    otherwise a NumericConjugate wrapper."""
+    """The complementary generator: analytic when the family knows it
+    (truncated generators included, whenever their base does), otherwise a
+    NumericConjugate wrapper."""
     analytic = gen.analytic_conjugate()
     return analytic if analytic is not None else NumericConjugate(gen)
 

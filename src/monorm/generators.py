@@ -39,6 +39,7 @@ __all__ = [
     "Piece",
     "PiecewiseGenerator",
     "TruncatedGenerator",
+    "CappedGenerator",
     "Delta2Profile",
     "eval_phi",
     "subdiff",
@@ -766,6 +767,63 @@ class TruncatedGenerator(OrliczGenerator):
         if n >= self.n:
             return math.inf
         return self.base.derivative_threshold(t, n)
+
+    def analytic_conjugate(self):
+        # truncation is the infimal convolution phi # n|.|, so its conjugate
+        # is phi* + the indicator of [0, n] (Rockafellar 1970, Thm 16.4)
+        conj = self.base.analytic_conjugate()
+        return None if conj is None else CappedGenerator(conj, self.n)
+
+
+@dataclass(frozen=True)
+class CappedGenerator(OrliczGenerator):
+    """Domain capped at c: phi(t,u) for u <= c, infinity beyond.
+
+    The conjugate of truncate(phi*, c); the pair is closed under
+    conjugation.
+    """
+
+    base: OrliczGenerator
+    cap: float
+    family = "capped"
+    finite_valued = False
+    differentiable = False
+
+    def __post_init__(self) -> None:
+        if not self.cap > 0:
+            raise ValueError("domain cap must be > 0")
+
+    def _phi(self, t, u):
+        return self.base.phi(t, u) if u <= self.cap else EXT_INF
+
+    def _left(self, t, u):
+        return self.base.left_deriv(t, u)
+
+    def _right(self, t, u):
+        return self.base.right_deriv(t, u)
+
+    def zero_bound(self, t):
+        return min(self.base.zero_bound(t), self.cap)
+
+    def finite_bound(self, t):
+        b = self.base.finite_bound(t)
+        return b if b <= self.cap else fin(self.cap)
+
+    def analytic_conjugate(self):
+        conj = self.base.analytic_conjugate()
+        return None if conj is None else truncate(conj, self.cap)
+
+    def derivative_jumps(self, t):
+        base_jumps = self.base.derivative_jumps(t)
+        if base_jumps is None:
+            return None
+        b = self.finite_bound(t).value
+        out = [j for j in base_jumps if j[0] < b]
+        out.append((b, self.left_deriv(t, b), EXT_INF))
+        return out
+
+    def derivative_threshold(self, t, n):
+        return min(self.base.derivative_threshold(t, n), self.finite_bound(t).value)
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,16 @@ JSON schema:
 
 Families: power {p}, varexp {p_values, [c_values]}, expminusone, xlogx,
 linear {[slope]}, indicator {c}, plq {pieces: [{[width], jump, slope}, ...],
-[bounded]}.  Per-atom parameter arrays must match the atom count.
+[bounded]}.  Per-atom parameter arrays must match the atom count.  Every
+number must be finite: NaN and Infinity, which JSON parsers accept, are
+input errors.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -46,13 +49,28 @@ class Instance:
     digest: str
 
 
+def _finite(value, what: str) -> float:
+    """float(value), rejecting NaN and the infinities json.loads accepts."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError) as exc:
+        raise InstanceError(f"{what} must be a number, got {value!r}") from exc
+    if not math.isfinite(x):
+        raise InstanceError(f"{what} must be finite, got {value!r}")
+    return x
+
+
+def _finite_list(values, what: str) -> list[float]:
+    return [_finite(v, f"{what}[{i}]") for i, v in enumerate(values)]
+
+
 def build_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
     if not isinstance(spec, dict) or "family" not in spec:
         raise InstanceError("phi must be an object with a 'family' field")
     family = spec["family"]
     try:
         if family == "power":
-            return PowerGenerator(float(spec["p"]))
+            return PowerGenerator(_finite(spec["p"], "p"))
         if family == "varexp":
             p_values = spec["p_values"]
             if len(p_values) != len(space):
@@ -64,23 +82,27 @@ def build_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
                 raise InstanceError(
                     f"c_values has {len(c_values)} entries for {len(space)} atoms"
                 )
-            return VariableExponentGenerator.from_values(space, p_values, c_values)
+            if c_values is not None:
+                c_values = _finite_list(c_values, "c_values")
+            return VariableExponentGenerator.from_values(
+                space, _finite_list(p_values, "p_values"), c_values
+            )
         if family == "expminusone":
             return ExpMinusOneGenerator()
         if family == "xlogx":
             return XLogXGenerator()
         if family == "linear":
-            return LinearGenerator(float(spec.get("slope", 1.0)))
+            return LinearGenerator(_finite(spec.get("slope", 1.0), "slope"))
         if family == "indicator":
-            return IndicatorGenerator(float(spec["c"]))
+            return IndicatorGenerator(_finite(spec["c"], "c"))
         if family == "plq":
             pieces = tuple(
                 Piece(
-                    None if p.get("width") is None else float(p["width"]),
-                    float(p.get("jump", 0.0)),
-                    float(p.get("slope", 0.0)),
+                    None if p.get("width") is None else _finite(p["width"], f"pieces[{i}].width"),
+                    _finite(p.get("jump", 0.0), f"pieces[{i}].jump"),
+                    _finite(p.get("slope", 0.0), f"pieces[{i}].slope"),
                 )
-                for p in spec["pieces"]
+                for i, p in enumerate(spec["pieces"])
             )
             return PiecewiseGenerator(pieces, bounded=bool(spec.get("bounded", False)))
     except InstanceError:
@@ -113,9 +135,10 @@ def parse_instance(path: str | Path) -> Instance:
     coords, weights = [], []
     for i, atom in enumerate(atoms):
         try:
-            t, w = float(atom["t"]), float(atom["w"])
-        except (KeyError, TypeError, ValueError) as exc:
+            t, w = atom["t"], atom["w"]
+        except (KeyError, TypeError) as exc:
             raise InstanceError(f"atom {i}: needs numeric 't' and 'w'") from exc
+        t, w = _finite(t, f"atom {i}: t"), _finite(w, f"atom {i}: w")
         if not w > 0:
             raise InstanceError(f"atom {i}: weight must be > 0, got {w}")
         coords.append(t)
@@ -133,7 +156,7 @@ def parse_instance(path: str | Path) -> Instance:
             raise InstanceError(
                 f"function '{name}' has {len(values)} values for {len(space)} atoms"
             )
-        functions[name] = SimpleFunction.on(space, values)
+        functions[name] = SimpleFunction.on(space, _finite_list(values, f"function '{name}'"))
 
     violations = validate_generator(gen, space)
     if violations:

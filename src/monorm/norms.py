@@ -9,8 +9,10 @@ Norm conventions:
   b*(t) on the support of u is <= 1, in which case the norm degenerates to
   the weighted-L1 expression  integral of |u| b*.
 
-All bisections run to relative bracket width 1e-10; returned k* and k** are
-bracket midpoints, so downstream "= 1" tests use a 1e-7 equality band.
+All bisections run to relative bracket width 1e-10.  The returned k* is a
+bracket midpoint; k** is the midpoint of a second bracket when the quotient
+is flat past k*, and equals k* when the first bracket already shows
+k** = k*.  Downstream "= 1" tests use a 1e-7 equality band.
 """
 
 from __future__ import annotations
@@ -147,7 +149,9 @@ def k_interval(
 
     Tests the degenerate branch I*(b* chi_supp) <= 1 first (otherwise the
     upper bisection would not terminate), then brackets the nondecreasing
-    map k -> I*(phi'_+(., k|u|)) against level 1 from both sides.
+    map k -> I*(phi'_+(., k|u|)) against level 1 from below; a second
+    bracket for k** runs only when the map equals 1 at the top of the
+    first one, i.e. when the minimizer set may be a proper interval.
     """
     if u.is_zero():
         raise DomainError("K(u) is undefined for u = 0")
@@ -164,6 +168,9 @@ def k_interval(
 
     lo1, hi1 = monotone_boundary(at_least_one)
     k_star = 0.5 * (lo1 + hi1)
+    if above_one(hi1):
+        # k* <= k** <= hi1: the first bracket already pins k** = k*
+        return KSetNonEmpty(k_star, k_star)
     lo2, hi2 = monotone_boundary(above_one, start=hi1)
     k_dstar = 0.5 * (lo2 + hi2)
     if k_dstar < k_star:

@@ -4,17 +4,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monorm import (
+    CappedGenerator,
     EXT_ZERO,
     ExpMinusOneGenerator,
     IndicatorGenerator,
     LinearGenerator,
+    Piece,
+    PiecewiseGenerator,
     PowerGenerator,
+    TruncatedGenerator,
     VariableExponentGenerator,
     XLogXGenerator,
     biconjugate_residual,
     conjugate,
     numeric_conjugate,
     subdiff,
+    truncate,
+    validate_generator,
     young_gap,
 )
 from conftest import all_families
@@ -71,19 +77,74 @@ def test_kink_conjugate_values(kink_linear):
     assert not conj.phi(T, 2.0 + 1e-9).is_finite
 
 
+BOUNDED_PLQ = PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(1.0, 0.5, 0.0)), bounded=True)
+TRUNCATION_LEVELS = (0.5, 3.0)
+
+
+def _truncated_families(space):
+    """truncate(g, n) for every family, the bounded plq included; linear
+    (slope 1) at n = 3 is an inactive truncation."""
+    return [
+        truncate(g, n) for g in all_families(space) + [BOUNDED_PLQ] for n in TRUNCATION_LEVELS
+    ]
+
+
 def test_analytic_vs_numeric_agreement(two_atoms):
-    for gen in all_families(two_atoms):
+    for gen in all_families(two_atoms) + [BOUNDED_PLQ] + _truncated_families(two_atoms):
         ana = conjugate(gen)
         num = numeric_conjugate(gen)
         b_star = ana.finite_bound(T)
         top = min(b_star.value, 6.0) if b_star.is_finite else 6.0
-        for j in range(13):
-            v = top * j / 12.0
+        probes = [top * j / 12.0 for j in range(13)]
+        if isinstance(gen, TruncatedGenerator):
+            assert isinstance(ana, CappedGenerator)
+            probes += [gen.n, gen.n * (1.0 + 1e-6)]
+        for v in probes:
             a = ana.phi(T, v)
             n = num.phi(T, v)
             assert a.is_finite == n.is_finite, (gen, v)
             if a.is_finite:
                 assert abs(a.value - n.value) <= 1e-8 * max(1.0, a.value), (gen, v)
+
+
+def test_truncated_conjugate_is_a_generator(two_atoms):
+    for gen in _truncated_families(two_atoms):
+        assert validate_generator(conjugate(gen), two_atoms) == [], gen
+
+
+def test_truncated_conjugate_structure(two_atoms):
+    # bounds, derivative jumps and thresholds agree with phi* and its
+    # one-sided derivatives
+    for gen in _truncated_families(two_atoms):
+        conj = conjugate(gen)
+        b = conj.finite_bound(T).value
+        assert b <= gen.n and conj.phi(T, b).is_finite, gen
+        assert not conj.phi(T, b * (1.0 + 1e-9)).is_finite, gen
+        a = conj.zero_bound(T)
+        assert conj.phi(T, a) == EXT_ZERO, gen
+        assert a == b or conj.phi(T, a + 1e-6).value > 0.0, gen
+        jumps = conj.derivative_jumps(T)
+        assert jumps[-1][0] == b and not jumps[-1][2].is_finite, gen
+        for x, lo, hi in jumps:
+            assert (conj.left_deriv(T, x), conj.right_deriv(T, x)) == (lo, hi), (gen, x)
+        for m in (0.25, 1.0):
+            x = conj.derivative_threshold(T, m)
+            assert conj.left_deriv(T, x) <= m * (1.0 + 1e-12), (gen, m)
+            assert x == b or conj.left_deriv(T, x + 1e-6) > m, (gen, m)
+
+
+def test_truncated_conjugation_is_closed(two_atoms):
+    # conjugate(truncate(phi, n)) = phi* capped at n, whose conjugate is
+    # truncate(phi**, n) = truncate(phi, n)
+    for gen in _truncated_families(two_atoms):
+        back = conjugate(conjugate(gen))
+        assert isinstance(back, TruncatedGenerator) and back.n == gen.n
+        for t in two_atoms.coords:
+            for j in range(25):
+                u = 0.25 * j
+                a, b = gen.phi(t, u), back.phi(t, u)
+                assert a.is_finite and b.is_finite
+                assert abs(a.value - b.value) <= 1e-12 * max(1.0, a.value), (gen, t, u)
 
 
 def test_biconjugate_examples():

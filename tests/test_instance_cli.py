@@ -224,3 +224,44 @@ def test_tol_override_env(instance_file, capsys, monkeypatch):
     code = run(["support", "--instance", instance_file, "--function", "u1", "--json"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0 and report["verified"] is True
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "where",
+    ["function", "atom t", "atom w", "power p", "varexp c_values", "plq jump"],
+)
+def test_non_finite_numbers_are_input_errors(tmp_path, capsys, bad, where):
+    payload = json.loads(json.dumps(INSTANCE))
+    if where == "function":
+        payload["functions"]["u1"] = [bad, 1.0]
+    elif where == "atom t":
+        payload["space"]["atoms"][0]["t"] = bad
+    elif where == "atom w":
+        payload["space"]["atoms"][1]["w"] = bad
+    elif where == "power p":
+        payload["phi"]["p"] = bad
+    elif where == "varexp c_values":
+        payload["phi"] = {"family": "varexp", "p_values": [2.0, 3.0], "c_values": [1.0, bad]}
+    else:
+        payload["phi"] = {
+            "family": "plq",
+            "pieces": [{"width": 1.0, "jump": 0.0, "slope": 1.0}, {"jump": bad, "slope": 0.0}],
+        }
+    path = _write(tmp_path, payload)  # json.dumps writes NaN / Infinity literals
+    with pytest.raises(InstanceError, match="finite"):
+        parse_instance(path)
+    assert run(["norm", "--instance", path, "--function", "u2"]) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "", "0", "-1", "nan", "inf"])
+def test_tol_override_rejects_bad_values(instance_file, capsys, monkeypatch, value):
+    monkeypatch.setenv("MO_TOL_OVERRIDE", value)
+    for cmd in (
+        ["smooth-space", "--instance", instance_file],
+        ["smooth-point", "--instance", instance_file, "--function", "u2"],
+        ["support", "--instance", instance_file, "--function", "u1"],
+    ):
+        assert run(cmd) == 2
+        assert "MO_TOL_OVERRIDE" in capsys.readouterr().err

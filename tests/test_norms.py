@@ -21,7 +21,10 @@ from monorm import (
     power_norm_closed_forms,
     theta,
 )
+from monorm import norms
+from monorm.conjugate import conjugate
 from monorm.errors import DomainError, PreconditionError
+from monorm.solvers import monotone_boundary
 from conftest import random_instance
 
 
@@ -54,6 +57,31 @@ def test_k_interval_examples(two_atoms):
     ks = k_interval(LinearGenerator(1.0), two_atoms, u12)
     assert isinstance(ks, KSetDegenerate)
     assert ks.l1_value == pytest.approx(1.5, abs=1e-12)
+
+
+def test_k_interval_one_bracket_when_strictly_convex(monkeypatch):
+    # for a strictly convex generator k* = k**, which the k* bracket already
+    # shows, so one evaluation replaces the second bisection
+    orig = norms.derivative_modular
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(norms, "derivative_modular", counted)
+    space = GridMeasureSpace.uniform(3)
+    u = SimpleFunction.on(space, (1.0, -2.0, 0.5))
+    for p in (1.5, 2.0, 3.0):
+        gen = PowerGenerator(p)
+        calls.clear()
+        ks = k_interval(gen, space, u)
+        bracket = []
+        monotone_boundary(
+            lambda k: bracket.append(k) or orig(gen, conjugate(gen), space, u, k) >= 1.0
+        )
+        assert isinstance(ks, KSetNonEmpty) and ks.k_star == ks.k_double_star
+        assert len(calls) == len(bracket) + 1
 
 
 def test_k_interval_rejects_zero(two_atoms):
