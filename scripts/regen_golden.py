@@ -1,0 +1,140 @@
+#!/usr/bin/env python3
+"""Rewrite or check the golden `--json` reports under tests/golden/.
+
+Each case in tests/golden/cases.json is one CLI command line (instance paths
+relative to tests/golden/); its report is the exact stdout of
+`monorm <argv> --json`, kept in tests/golden/reports/<name>.json.
+
+    python scripts/regen_golden.py            # rewrite every report
+    python scripts/regen_golden.py --check    # compare, print per-field diffs
+
+`--check` exits 1 when any report differs and prints, per numeric field, the
+largest relative difference between the stored and the fresh report (list
+indices folded into `[]`), which is the summary to quote whenever a change
+moves numbers on purpose.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import json
+import math
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = ROOT / "tests" / "golden"
+REPORTS = GOLDEN / "reports"
+
+sys.path.insert(0, str(ROOT / "src"))
+from monorm.cli import run  # noqa: E402
+
+
+def load_cases() -> list[dict]:
+    return json.loads((GOLDEN / "cases.json").read_text())
+
+
+def render(case: dict) -> tuple[int, str]:
+    """(exit code, stdout) of the case's command line with --json."""
+    argv = list(case["argv"])
+    for j in range(len(argv) - 1):
+        if argv[j] == "--instance":
+            argv[j + 1] = str(GOLDEN / argv[j + 1])
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = run(argv + ["--json"])
+    return code, out.getvalue()
+
+
+def report_path(case: dict) -> Path:
+    return REPORTS / f"{case['name']}.json"
+
+
+def _rel_diff(a, b) -> float:
+    if a == b:
+        return 0.0
+    if a == "inf" or b == "inf":
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
+def _is_number(x) -> bool:
+    return x == "inf" or (isinstance(x, (int, float)) and not isinstance(x, bool))
+
+
+def field_diffs(expected: str, actual: str) -> dict[str, float | str]:
+    """Largest relative difference per numeric field, "changed" for other
+    fields that differ; fields that agree are left out."""
+    try:
+        old, new = json.loads(expected), json.loads(actual)
+    except json.JSONDecodeError:
+        return {"<report>": "not JSON"}
+    diffs: dict[str, float | str] = {}
+
+    def walk(a, b, path: str) -> None:
+        if isinstance(a, dict) and isinstance(b, dict) and set(a) == set(b):
+            for key in a:
+                walk(a[key], b[key], f"{path}.{key}" if path else key)
+        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+            for x, y in zip(a, b):
+                walk(x, y, f"{path}[]")
+        elif _is_number(a) and _is_number(b):
+            prev = diffs.get(path, 0.0)
+            if prev != "changed":
+                diffs[path] = max(prev, _rel_diff(a, b))
+        elif a != b:
+            diffs[path or "<report>"] = "changed"
+
+    walk(old, new, "")
+    return {k: v for k, v in diffs.items() if v != 0.0}
+
+
+def format_diffs(diffs: dict[str, float | str]) -> str:
+    return "\n".join(
+        f"  {path}: " + (v if isinstance(v, str) else f"max rel diff {v:.3g}")
+        for path, v in sorted(diffs.items())
+    )
+
+
+def check_case(case: dict) -> str | None:
+    """None when the fresh report matches the stored bytes, else a summary."""
+    code, text = render(case)
+    if code != 0:
+        return f"exit code {code}"
+    expected = report_path(case).read_text()
+    if text == expected:
+        return None
+    return format_diffs(field_diffs(expected, text)) or "  bytes differ, values equal"
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--check", action="store_true", help="compare instead of rewriting"
+    )
+    args = parser.parse_args()
+    cases = load_cases()
+    if args.check:
+        failed = 0
+        for case in cases:
+            summary = check_case(case)
+            if summary is not None:
+                failed += 1
+                print(f"{case['name']}:\n{summary}")
+        print(f"{len(cases) - failed}/{len(cases)} reports match")
+        return 1 if failed else 0
+    REPORTS.mkdir(parents=True, exist_ok=True)
+    for case in cases:
+        code, text = render(case)
+        if code != 0:
+            print(f"{case['name']}: exit code {code}", file=sys.stderr)
+            return 1
+        report_path(case).write_text(text)
+    print(f"wrote {len(cases)} reports to {REPORTS.relative_to(ROOT)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -10,7 +10,9 @@ JSON schema:
 
 Families: power {p}, varexp {p_values, [c_values]}, expminusone, xlogx,
 linear {[slope]}, indicator {c}, plq {pieces: [{[width], jump, slope}, ...],
-[bounded]}.  Per-atom parameter arrays must match the atom count.  Every
+[bounded]}.  Any family also takes an optional "truncate": n > 0, which caps
+its derivative at n (truncate(phi, n)).  Per-atom parameter arrays must match
+the atom count.  Every
 number must be finite: NaN and Infinity, which JSON parsers accept, are
 input errors.
 """
@@ -34,6 +36,7 @@ from .generators import (
     PowerGenerator,
     VariableExponentGenerator,
     XLogXGenerator,
+    truncate,
     validate_generator,
 )
 from .space import GridMeasureSpace, SimpleFunction
@@ -67,6 +70,16 @@ def _finite_list(values, what: str) -> list[float]:
 def build_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
     if not isinstance(spec, dict) or "family" not in spec:
         raise InstanceError("phi must be an object with a 'family' field")
+    gen = _family_generator(spec, space)
+    if spec.get("truncate") is None:
+        return gen
+    n = _finite(spec["truncate"], "truncate")
+    if not n > 0:
+        raise InstanceError(f"truncate must be > 0, got {n}")
+    return truncate(gen, n)
+
+
+def _family_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
     family = spec["family"]
     try:
         if family == "power":

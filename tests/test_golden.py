@@ -1,0 +1,34 @@
+"""Byte-level gate on the CLI: every case in tests/golden/cases.json must
+reproduce its stored `--json` report exactly.
+
+Regenerate with `python scripts/regen_golden.py` only when a change moves
+numbers on purpose, and quote its `--check` summary in CHANGES.md.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
+_spec = importlib.util.spec_from_file_location("regen_golden", _SCRIPT)
+golden = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(golden)
+
+CASES = golden.load_cases()
+
+
+@pytest.mark.parametrize("case", CASES, ids=[c["name"] for c in CASES])
+def test_golden_report(case):
+    summary = golden.check_case(case)
+    assert summary is None, f"{case['name']} moved:\n{summary}"
+
+
+def test_field_diffs_reports_largest_relative_difference():
+    old = '{"a":[1,2],"b":"inf","c":true,"d":3}'
+    new = '{"a":[1,2.002],"b":5,"c":false,"d":3}'
+    diffs = golden.field_diffs(old, new)
+    assert diffs["a[]"] == pytest.approx(0.001, rel=1e-3)
+    assert diffs["b"] == float("inf")
+    assert diffs["c"] == "changed"
+    assert "d" not in diffs
