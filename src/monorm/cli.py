@@ -2,7 +2,8 @@
 deterministic JSON reports.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical bracket
-failure (so scripts can tell input problems from numerical ones).
+failure (so scripts can tell input problems from numerical ones), 141 when
+the reader of stdout closes the pipe early.
 """
 
 from __future__ import annotations
@@ -375,4 +376,13 @@ def run(argv) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away early (`monorm selftest | head -1`): point
+        # stdout at devnull so the exit-time flush stays quiet, and exit
+        # with the status of a process ended by SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    sys.exit(code)

@@ -12,9 +12,10 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
+from .errors import BracketError
 from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .generators import OrliczGenerator
-from .solvers import golden_max
+from .solvers import golden_max, monotone_boundary, monotone_cap
 
 __all__ = [
     "conjugate",
@@ -68,39 +69,27 @@ class NumericConjugate(OrliczGenerator):
         if b.is_finite:
             hi = b.value
         else:
-            hi = 1.0
-            for _ in range(300):
-                d = base.left_deriv(t, hi)
-                if d >= v:
-                    break
-                if g(hi) > _VALUE_CUTOFF:
-                    return EXT_INF
-                hi *= 2.0
-            else:
+            # a power-of-two bracket for the maximizer, where phi'_- reaches
+            # v; a value past the cutoff or no bracket in float range means
+            # the supremum is infinite
+            def stop(u: float) -> bool:
+                return base.left_deriv(t, u) >= v or g(u) > _VALUE_CUTOFF
+
+            try:
+                _, hi = monotone_boundary(stop, rel_tol=math.inf, lo=0.0)
+            except BracketError:
+                return EXT_INF
+            if base.left_deriv(t, hi) < v:
                 return EXT_INF
         _, best = golden_max(g, 0.0, hi, rel_tol=GOLDEN_REL_TOL)
         # the sup may sit at the edge of the finite region
-        edge = self._finite_edge(t, hi)
-        if edge is not None:
-            best = max(best, g(edge))
+        edge = monotone_cap(
+            lambda u: 0.0 if base.phi(t, u).is_finite else math.inf, 0.0, 0.0, hi
+        )
+        best = max(best, g(edge))
         if best > _VALUE_CUTOFF:
             return EXT_INF
         return fin(max(0.0, best))
-
-    def _finite_edge(self, t: float, hi: float) -> float | None:
-        base = self.base
-        if base.phi(t, hi).is_finite:
-            return hi
-        lo = 0.0
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if base.phi(t, mid).is_finite:
-                lo = mid
-            else:
-                hi = mid
-        return lo
 
     # -- derivatives (difference quotients, Richardson-stabilized) -------------
 

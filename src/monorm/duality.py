@@ -67,23 +67,14 @@ def _magnitude_grid(cap: float, resolution: int) -> list[float]:
     return sorted(pts)
 
 
-def _modular_cap(conj: OrliczGenerator, t: float, budget: float) -> float:
-    """Largest magnitude m with phi*(t, m) <= budget (capped at b*)."""
-    b = conj.finite_bound(t)
-
-    def g(m: float) -> float:
-        return conj.phi(t, m).as_float()
-
-    hi = 1.0
-    for _ in range(200):
-        if (b.is_finite and hi >= b.value) or g(hi) > budget:
-            break
-        hi *= 2.0
-    if b.is_finite and hi > b.value:
-        hi = b.value
-    if g(hi) <= budget:
-        return hi
-    return monotone_cap(g, budget, 0.0, hi)
+def magnitude_cap(conj: OrliczGenerator, t: float, budget: float, lo: float = 0.0) -> float:
+    """Largest magnitude m >= lo with phi*(t, m) <= budget (at most b*(t));
+    lo itself when the budget is not positive."""
+    if budget <= 0.0:
+        return lo
+    return monotone_cap(
+        lambda m: conj.phi(t, m).as_float(), budget, lo, conj.finite_bound(t).as_float()
+    )
 
 
 def orlicz_norm_bruteforce(
@@ -108,7 +99,7 @@ def orlicz_norm_bruteforce(
     # per-atom candidate magnitudes with their conjugate-modular costs
     grids: list[list[tuple[float, float]]] = []
     for i in supp:
-        cap = _modular_cap(conj, coords[i], 1.0 / weights[i])
+        cap = magnitude_cap(conj, coords[i], 1.0 / weights[i])
         pts = _magnitude_grid(cap, resolution)
         entries = []
         for m in pts:
@@ -142,7 +133,7 @@ def orlicz_norm_bruteforce(
     # manifold: vary one magnitude, rescale the rest to keep the conjugate
     # modular at 1 (the resulting map is concave in the varied coordinate)
     mags = best_mags
-    caps = [_modular_cap(conj, coords[i], 1.0 / weights[i]) for i in supp]
+    caps = [magnitude_cap(conj, coords[i], 1.0 / weights[i]) for i in supp]
 
     def fill_scale(j: int, budget: float) -> float:
         others = [r for r in range(len(supp)) if r != j and mags[r] > 0.0]
@@ -158,14 +149,7 @@ def orlicz_norm_bruteforce(
                 total += weights[supp[r]] * c.value
             return total
 
-        hi = 1.0
-        for _ in range(100):
-            if cost(hi) > budget:
-                break
-            hi *= 2.0
-        else:
-            return hi
-        return monotone_cap(cost, budget, 0.0, hi)
+        return monotone_cap(cost, budget, 0.0, math.inf)
 
     for j, i in enumerate(supp):
         rest_gain = sum(gains[r] * mags[r] for r in range(len(supp)) if r != j)

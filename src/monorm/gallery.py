@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .generators import VariableExponentGenerator, modular
+from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = ["GalleryConfig", "gallery_report"]
@@ -73,20 +74,7 @@ def _block_level(gen, space, idx) -> float:
             total += space.weights[i] * e.value
         return total
 
-    lo, hi = 1e-9, 1.0
-    for _ in range(200):
-        if block_modular(hi) >= 1.0:
-            break
-        lo = hi
-        hi *= 2.0
-    for _ in range(120):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if block_modular(mid) < 1.0:
-            lo = mid
-        else:
-            hi = mid
+    lo, hi = monotone_boundary(lambda c: block_modular(c) >= 1.0, rel_tol=0.0)
     return 0.5 * (lo + hi)
 
 

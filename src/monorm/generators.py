@@ -26,6 +26,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
+from .solvers import monotone_cap
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = [
@@ -144,34 +145,9 @@ class OrliczGenerator:
 
     def derivative_threshold(self, t: float, n: float) -> float:
         """sup{x >= 0 : phi'_-(t, x) <= n} (may be math.inf)."""
-        if self.left_deriv(t, 1.0) > n:
-            hi = 1.0
-            lo = 0.0
-        else:
-            lo = 1.0
-            hi = 2.0
-            for _ in range(200):
-                b = self.finite_bound(t)
-                if b.is_finite and hi >= b.value:
-                    hi = b.value
-                    if self.left_deriv(t, hi) <= n:
-                        return hi
-                    break
-                if self.left_deriv(t, hi) > n:
-                    break
-                lo = hi
-                hi *= 2.0
-            else:
-                return math.inf
-        for _ in range(100):
-            mid = 0.5 * (lo + hi)
-            if mid <= lo or mid >= hi:
-                break
-            if self.left_deriv(t, mid) <= n:
-                lo = mid
-            else:
-                hi = mid
-        return lo
+        return monotone_cap(
+            lambda x: self.left_deriv(t, x).as_float(), n, 0.0, self.finite_bound(t).as_float()
+        )
 
     # -- to be provided by families -------------------------------------------
 

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 
 from .conjugate import conjugate
-from .errors import DomainError
+from .errors import BracketError, DomainError
 from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .generators import OrliczGenerator, modular
 from .norms import (
@@ -30,8 +30,8 @@ from .norms import (
     delta2_check,
     k_interval,
 )
-from .duality import DualDensity, dual_functional_norm
-from .solvers import monotone_cap
+from .duality import DualDensity, dual_functional_norm, magnitude_cap
+from .solvers import monotone_boundary, monotone_cap
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 
 __all__ = [
@@ -178,30 +178,17 @@ def _select_density(
             total += w * (c_hi.value - c_lo.value)
             continue
         # fractional atom: bisect inside the segment for the exact level
-        top = hi.value if hi.is_finite else _segment_top(conj, t, lo.value, budget / w + c_lo.value)
-
         def cost(m: float, t=t, w=w, c_lo=c_lo) -> float:
             c = conj.phi(t, m)
             return w * (c.value - c_lo.value) if c.is_finite else math.inf
 
-        m = monotone_cap(cost, budget, lo.value, top)
+        m = monotone_cap(cost, budget, lo.value, hi.as_float())
         gained = cost(m)
         if math.isfinite(gained) and gained > 0.0:
             mags[i] = m
             total += gained
     values = [sgn(ui) * m for ui, m in zip(u.values, mags)]
     return values, total
-
-
-def _segment_top(conj: OrliczGenerator, t: float, lo: float, level: float) -> float:
-    """An upper bracket for the magnitude whose conjugate value reaches level."""
-    hi = max(1.0, 2.0 * lo)
-    for _ in range(200):
-        c = conj.phi(t, hi)
-        if not c.is_finite or c.value >= level:
-            return hi
-        hi *= 2.0
-    return hi
 
 
 def construct_support_functional(
@@ -520,8 +507,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
             c = conj.phi(t, m)
             return w * c.value if c.is_finite else math.inf
 
-        top = _segment_top(conj, t, 0.0, budget / w)
-        second[i] = monotone_cap(cost, budget * 0.5, 0.0, top)
+        second[i] = monotone_cap(cost, budget * 0.5, 0.0, math.inf)
     if second[i] <= eps_eq:
         return None
     return (
@@ -562,14 +548,13 @@ def check_space_smoothness(
             val = conj.phi_ext(t, b)
             atom_ok = not val.is_finite
         else:
-            v, val = 1.0, conj.phi(t, 1.0)
-            atom_ok = False
-            for _ in range(200):
-                if not val.is_finite or val.value > 1e12:
-                    atom_ok = True
-                    break
-                v *= 2.0
-                val = conj.phi(t, v)
+            try:
+                monotone_boundary(
+                    lambda v: conj.phi(t, v).as_float() > 1e12, rel_tol=math.inf, lo=0.0
+                )
+                atom_ok = True
+            except BracketError:
+                atom_ok = False
         a_detail.append((t, b.as_float(), atom_ok))
         a_ok = a_ok and atom_ok
     evidence["a"] = tuple(a_detail)
@@ -685,17 +670,13 @@ def _scan_gap(gen: OrliczGenerator, t: float, delta: float, horizon: float) -> E
         if point_gap >= delta:
             return fin(x)
         if seg_gap >= delta:
-            lo, hi = prev, x
-            for _ in range(80):
-                mid = 0.5 * (lo + hi)
-                if mid <= lo or mid >= hi:
-                    break
-                l_mid = gen.left_deriv(t, mid)
-                g = (l_mid.value - r_prev.value) if (l_mid.is_finite and r_prev.is_finite) else math.inf
-                if g >= delta:
-                    hi = mid
-                else:
-                    lo = mid
+            # the first u in (prev, x] where the gap to phi'_+(prev) opens
+            def opened(m: float) -> bool:
+                l_m = gen.left_deriv(t, m)
+                g = (l_m.value - r_prev.value) if (l_m.is_finite and r_prev.is_finite) else math.inf
+                return g >= delta
+
+            _, hi = monotone_boundary(opened, start=x, rel_tol=0.0, lo=prev)
             # a smooth but steep rise also triggers the segment test; only
             # report the location if the pointwise gap is really there
             l_hi, r_hi = gen.left_deriv(t, hi), gen.right_deriv(t, hi)
@@ -781,15 +762,7 @@ def support_density_survey(
             if hi.is_finite and hi.value - lo.value <= 1e-8 * max(1.0, hi.value):
                 pts = [lo.value]
             else:
-                top = (
-                    hi.value
-                    if hi.is_finite
-                    else _segment_top(conj, t, lo.value, (1.0 + eps_eq) / w + c_lo.value)
-                )
-                top = min(
-                    top,
-                    _modular_top(conj, t, lo.value, (1.0 + eps_eq) / w),
-                )
+                top = min(hi.as_float(), magnitude_cap(conj, t, (1.0 + eps_eq) / w, lo.value))
                 n = max(2, resolution)
                 pts = [lo.value + (top - lo.value) * j / (n - 1) for j in range(n)]
             cvals = []
@@ -820,10 +793,7 @@ def support_density_survey(
         costs = []
         for i in off:
             t, w = space.coords[i], space.weights[i]
-            top = _modular_top(conj, t, 0.0, max(0.0, 1.0 + eps_eq - base_cost) / w)
-            b = conj.finite_bound(t)
-            if b.is_finite:
-                top = min(top, b.value)
+            top = magnitude_cap(conj, t, max(0.0, 1.0 + eps_eq - base_cost) / w)
             n = max(2, resolution)
             pts = [top * j / (n - 1) for j in range(n)]
             cvals = []
@@ -832,7 +802,8 @@ def support_density_survey(
                 cvals.append(w * c.value if c.is_finite else math.inf)
             axes.append(pts)
             costs.append(cvals)
-        passing_off = _enumerate_below(axes, costs, 1.0 + eps_eq - base_cost)
+        half = 0.5 * (1.0 + eps_eq - base_cost)
+        passing_off = _enumerate_level(axes, costs, half, half)
         passing = [tuple(pinned) + combo for combo in passing_off]
         supp = supp + off
 
@@ -865,25 +836,11 @@ def _survey_axes(passing):
         yield vals
 
 
-def _modular_top(conj: OrliczGenerator, t: float, lo: float, budget: float) -> float:
-    """Largest magnitude with conjugate value within the budget."""
-    if budget <= 0.0:
-        return lo
-
-    def g(m: float) -> float:
-        c = conj.phi(t, m)
-        return c.value if c.is_finite else math.inf
-
-    hi = max(1.0, 2.0 * lo)
-    for _ in range(200):
-        if g(hi) > budget:
-            break
-        hi *= 2.0
-    return monotone_cap(g, budget, lo, hi)
-
-
 def _enumerate_level(axes, costs, level, band):
-    """Grid combinations whose summed costs land within band of level."""
+    """Grid combinations whose summed costs land within band of level.
+
+    Costs are >= 0, so level = band = b / 2 keeps every combination costing
+    at most b."""
     out = []
 
     def rec(idx, acc, combo):
@@ -895,26 +852,6 @@ def _enumerate_level(axes, costs, level, band):
             return
         for m, c in zip(axes[idx], costs[idx]):
             if not math.isfinite(c) or acc + c > level + band:
-                break
-            combo.append(m)
-            rec(idx + 1, acc + c, combo)
-            combo.pop()
-
-    rec(0, 0.0, [])
-    return out
-
-
-def _enumerate_below(axes, costs, budget):
-    out = []
-
-    def rec(idx, acc, combo):
-        if acc > budget:
-            return
-        if idx == len(axes):
-            out.append(tuple(combo))
-            return
-        for m, c in zip(axes[idx], costs[idx]):
-            if not math.isfinite(c) or acc + c > budget:
                 break
             combo.append(m)
             rec(idx + 1, acc + c, combo)

@@ -120,7 +120,7 @@ def _family_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
             return PiecewiseGenerator(pieces, bounded=bool(spec.get("bounded", False)))
     except InstanceError:
         raise
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InstanceError(f"invalid parameters for family '{family}': {exc}") from exc
     raise InstanceError(f"unknown generator family '{family}'")
 
@@ -145,6 +145,8 @@ def parse_instance(path: str | Path) -> Instance:
         atoms = raw["space"]["atoms"]
     except (KeyError, TypeError) as exc:
         raise InstanceError("instance needs space.atoms") from exc
+    if not isinstance(atoms, list):
+        raise InstanceError("space.atoms must be a list")
     coords, weights = [], []
     for i, atom in enumerate(atoms):
         try:
@@ -163,8 +165,13 @@ def parse_instance(path: str | Path) -> Instance:
 
     gen = build_generator(raw.get("phi", {}), space)
 
+    raw_functions = raw.get("functions") or {}
+    if not isinstance(raw_functions, dict):
+        raise InstanceError("functions must be an object of named value lists")
     functions: dict[str, SimpleFunction] = {}
-    for name, values in (raw.get("functions") or {}).items():
+    for name, values in raw_functions.items():
+        if not isinstance(values, list):
+            raise InstanceError(f"function '{name}' must be a list of numbers, got {values!r}")
         if len(values) != len(space):
             raise InstanceError(
                 f"function '{name}' has {len(values)} values for {len(space)} atoms"

@@ -171,7 +171,7 @@ def k_interval(
     if above_one(hi1):
         # k* <= k** <= hi1: the first bracket already pins k** = k*
         return KSetNonEmpty(k_star, k_star)
-    lo2, hi2 = monotone_boundary(above_one, start=hi1)
+    lo2, hi2 = monotone_boundary(above_one, start=2.0 * hi1, lo=hi1)
     k_dstar = 0.5 * (lo2 + hi2)
     if k_dstar < k_star:
         k_dstar = k_star

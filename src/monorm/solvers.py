@@ -1,12 +1,24 @@
-"""One-dimensional searches shared by the norm and conjugate machinery.
+"""The package's one-dimensional searches: every bracket, boundary and cap
+goes through the three functions here.
 
-Everything here exploits monotonicity or unimodality, so the results are
-exact up to the requested bracket width.
+- monotone_boundary brackets the threshold of a monotone predicate (false
+  below, true above): the norms, k-interval ends and gap locations.
+- monotone_cap finds the largest point where a nondecreasing function stays
+  within a target: magnitude caps, derivative thresholds, domain edges.
+- golden_max maximizes a unimodal function on an interval.
+
+Both bracketing solvers grow an upper end by doubling and then bisect.  With
+rel_tol = 0 bisection runs until the midpoint hits an endpoint, so the result
+is the pair of adjacent floats around the threshold, whichever bracket it
+started from.  The search range is the normal floats: a threshold below the
+smallest one reads as 0, and a predicate that does not change within the
+range raises BracketError naming the last bracket.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from typing import Callable
 
 from .errors import BracketError
@@ -14,44 +26,30 @@ from .errors import BracketError
 __all__ = ["monotone_boundary", "golden_max", "monotone_cap"]
 
 BISECT_REL_TOL = 1e-10
-MAX_DOUBLINGS = 200
 
+_TINY = sys.float_info.min
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def monotone_boundary(
-    pred: Callable[[float], bool],
-    start: float = 1.0,
-    rel_tol: float = BISECT_REL_TOL,
-    max_doublings: int = MAX_DOUBLINGS,
+def _grow(
+    pred: Callable[[float], bool], lo: float, hi: float, top: float = math.inf
 ) -> tuple[float, float]:
-    """Locate the boundary of the up-set {x > 0 : pred(x)}.
+    """Double hi, clipped at top, with lo trailing it, until pred(hi) holds;
+    pred(lo) is false."""
+    hi = min(hi, top)
+    while not pred(hi):
+        if hi == top or 2.0 * hi == math.inf:
+            raise BracketError(
+                f"predicate stayed false up to {hi!r} (last bracket [{lo!r}, {hi!r}])"
+            )
+        lo, hi = hi, min(2.0 * hi, top)
+    return lo, hi
 
-    pred must be monotone (false below some threshold, true above).  Returns
-    a bracket (lo, hi) with pred(lo) false, pred(hi) true and
-    hi - lo <= rel_tol * hi.
-    """
-    if pred(start):
-        hi = start
-        lo = start / 2.0
-        for _ in range(max_doublings):
-            if not pred(lo):
-                break
-            hi = lo
-            lo /= 2.0
-        else:
-            raise BracketError(f"predicate stayed true down to {lo}")
-    else:
-        lo = start
-        hi = start * 2.0
-        for _ in range(max_doublings):
-            if pred(hi):
-                break
-            lo = hi
-            hi *= 2.0
-        else:
-            raise BracketError(f"predicate stayed false up to {hi}")
-    while hi - lo > rel_tol * hi:
+
+def _bisect(
+    pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float
+) -> tuple[float, float]:
+    while hi - lo > rel_tol * hi and hi > _TINY:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -60,6 +58,37 @@ def monotone_boundary(
         else:
             lo = mid
     return lo, hi
+
+
+def monotone_boundary(
+    pred: Callable[[float], bool],
+    start: float = 1.0,
+    rel_tol: float = BISECT_REL_TOL,
+    lo: float | None = None,
+) -> tuple[float, float]:
+    """Bracket the boundary of the up-set {x > 0 : pred(x)}.
+
+    pred must be monotone (false below some threshold, true above).  Returns
+    (lo, hi) with pred(lo) false, pred(hi) true and hi - lo <= rel_tol * hi;
+    rel_tol = 0 bisects to adjacent floats, rel_tol = inf skips bisection.
+
+    Without lo, pred(start) picks the direction: halving down from start
+    while pred holds, doubling up while it does not.  A given lo is a point
+    known to fail pred (never evaluated, 0 allowed); the upper end then runs
+    start, 2 start, ... from start > lo.
+    """
+    if lo is None:
+        if pred(start):
+            lo, hi = 0.5 * start, start
+            while pred(lo):
+                if lo < 2.0 * _TINY:
+                    raise BracketError(
+                        f"predicate stayed true down to {lo!r} (last bracket [0.0, {lo!r}])"
+                    )
+                lo, hi = 0.5 * lo, lo
+            return _bisect(pred, lo, hi, rel_tol)
+        lo, start = start, 2.0 * start
+    return _bisect(pred, *_grow(pred, lo, start), rel_tol)
 
 
 def golden_max(
@@ -104,22 +133,22 @@ def monotone_cap(
     target: float,
     lo: float,
     hi: float,
-    iters: int = 100,
 ) -> float:
-    """Largest x in [lo, hi] with g(x) <= target, for nondecreasing g.
+    """Largest x in [lo, hi] with g(x) <= target, for nondecreasing g, to the
+    last float.
 
-    g may return math.inf.  Assumes g(lo) <= target; returns lo otherwise.
+    g may return math.inf, and hi may be math.inf.  The upper end runs
+    max(1, 2 lo), doubling, clipped at hi; hi itself is returned when g
+    stays within target up to it, lo when g(lo) already exceeds target.
     """
     if g(lo) > target:
         return lo
-    if g(hi) <= target:
+
+    def over(x: float) -> bool:
+        return g(x) > target
+
+    try:
+        lo, hi = _grow(over, lo, max(1.0, 2.0 * lo), hi)
+    except BracketError:
         return hi
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
-            break
-        if g(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    return _bisect(over, lo, hi, 0.0)[0]

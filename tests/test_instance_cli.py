@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+from monorm import PowerGenerator, truncate
 from monorm.cli import run
 from monorm.errors import InstanceError
 from monorm.instance import parse_instance
@@ -265,3 +270,36 @@ def test_tol_override_rejects_bad_values(instance_file, capsys, monkeypatch, val
     ):
         assert run(cmd) == 2
         assert "MO_TOL_OVERRIDE" in capsys.readouterr().err
+
+
+DATA = Path(__file__).resolve().parent / "data"
+EXIT_CODES = json.loads((DATA / "exit_codes.json").read_text())
+
+
+@pytest.mark.parametrize("name", sorted(EXIT_CODES))
+def test_instance_corpus_exit_codes(name, capsys):
+    # every instance maps to a documented exit code, never to a traceback
+    code = run(["norm", "--instance", str(DATA / name), "--function", "u1", "--json"])
+    assert code == EXIT_CODES[name], capsys.readouterr().err
+
+
+def test_truncate_field_builds_truncated_generator(tmp_path):
+    payload = dict(INSTANCE, phi={"family": "power", "p": 2.0, "truncate": 3.0})
+    inst = parse_instance(_write(tmp_path, payload))
+    assert inst.phi == truncate(PowerGenerator(2.0), 3.0)
+
+
+def test_broken_pipe_exits_without_traceback(instance_file):
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "monorm", "conjugate", "--instance", instance_file,
+         "--points", "20000"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait() == 141
+    assert "Traceback" not in err and "BrokenPipeError" not in err

@@ -84,6 +84,33 @@ def test_k_interval_one_bracket_when_strictly_convex(monkeypatch):
         assert len(calls) == len(bracket) + 1
 
 
+def test_k_interval_flat_branch_reuses_known_point(monkeypatch, plateau):
+    # on a flat interval the k** bracket starts from hi1, already known to
+    # fail above_one, instead of probing it a second time
+    gen, space, u = plateau
+    conj = conjugate(gen)
+    orig = norms.derivative_modular
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(norms, "derivative_modular", counted)
+    ks = k_interval(gen, space, u)
+
+    def probe(evals, level_test):
+        return lambda k: evals.append(k) or level_test(orig(gen, conj, space, u, k))
+
+    first, second = [], []
+    lo1, hi1 = monotone_boundary(probe(first, lambda d: d >= 1.0))
+    # the second bracket as it was run before: probing hi1 first
+    lo2, hi2 = monotone_boundary(probe(second, lambda d: d > 1.0), start=hi1)
+    assert second[0] == hi1
+    assert ks.k_star == 0.5 * (lo1 + hi1) < ks.k_double_star == 0.5 * (lo2 + hi2)
+    assert len(calls) == len(first) + 1 + len(second) - 1
+
+
 def test_k_interval_rejects_zero(two_atoms):
     with pytest.raises(DomainError):
         k_interval(PowerGenerator(2.0), two_atoms, SimpleFunction.on(two_atoms, (0, 0)))
