@@ -12,9 +12,8 @@ Families: power {p}, varexp {p_values, [c_values]}, expminusone, xlogx,
 linear {[slope]}, indicator {c}, plq {pieces: [{[width], jump, slope}, ...],
 [bounded]}.  Any family also takes an optional "truncate": n > 0, which caps
 its derivative at n (truncate(phi, n)).  Per-atom parameter arrays must match
-the atom count.  Every
-number must be finite: NaN and Infinity, which JSON parsers accept, are
-input errors.
+the atom count.  Every number must be finite: NaN and Infinity, which JSON
+parsers accept, are input errors.
 """
 
 from __future__ import annotations

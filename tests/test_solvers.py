@@ -5,7 +5,7 @@ import pytest
 
 from monorm import solvers
 from monorm.errors import BracketError
-from monorm.solvers import golden_max, monotone_boundary, monotone_cap
+from monorm.solvers import monotone_boundary, monotone_cap
 
 
 def counted(fn):
@@ -106,8 +106,3 @@ def test_threshold_below_normal_floats_reads_zero():
     # g(0), the upper end 1, then 1022 halvings of [0, 1]
     assert len(calls) == 2 + 1022
 
-
-def test_golden_max_concave():
-    x, fx = golden_max(lambda x: -(x - 0.3) ** 2, 0.0, 1.0)
-    assert x == pytest.approx(0.3, abs=1e-8)
-    assert fx == pytest.approx(0.0, abs=1e-15)
