@@ -8,16 +8,17 @@ already grows without bound at scaling 1.
 """
 
 import argparse
+import math
 
 from monorm.gallery import GalleryConfig, gallery_report
 
 
-def fmt(x) -> str:
-    if not x.is_finite:
+def fmt(x: float) -> str:
+    if math.isinf(x):
         return "inf"
-    if x.value >= 1e4:
-        return f"{x.value:.2e}"
-    return f"{x.value:.4f}"
+    if x >= 1e4:
+        return f"{x:.2e}"
+    return f"{x:.4f}"
 
 
 def main() -> None:

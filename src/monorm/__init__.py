@@ -6,7 +6,6 @@ brute-force dual oracles, and support-functional / smoothness
 classification.
 """
 
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 from .generators import (
     CappedGenerator,
@@ -21,7 +20,6 @@ from .generators import (
     TruncatedGenerator,
     VariableExponentGenerator,
     XLogXGenerator,
-    eval_phi,
     generator_bounds,
     modular,
     subdiff,

@@ -13,7 +13,6 @@ import math
 from functools import lru_cache
 
 from .errors import BracketError
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .generators import OrliczGenerator
 from .solvers import golden_max, monotone_boundary, monotone_cap
 
@@ -44,7 +43,7 @@ class NumericConjugate(OrliczGenerator):
 
     def __init__(self, base: OrliczGenerator):
         self.base = base
-        self._bound_cache: dict[float, ExtReal] = {}
+        self._bound_cache: dict[float, float] = {}
 
     def __repr__(self) -> str:
         return f"NumericConjugate({self.base!r})"
@@ -56,19 +55,17 @@ class NumericConjugate(OrliczGenerator):
 
         def g(u: float) -> float:
             e = base.phi(t, u)
-            return u * v - e.value if e.is_finite else -math.inf
+            return u * v - e if math.isfinite(e) else -math.inf
 
         return g
 
-    def _phi(self, t: float, v: float) -> ExtReal:
+    def _phi(self, t: float, v: float) -> float:
         if v == 0.0:
-            return EXT_ZERO
+            return 0.0
         base = self.base
         g = self._objective(t, v)
-        b = base.finite_bound(t)
-        if b.is_finite:
-            hi = b.value
-        else:
+        hi = base.finite_bound(t)
+        if math.isinf(hi):
             # a power-of-two bracket for the maximizer, where phi'_- reaches
             # v; a value past the cutoff or no bracket in float range means
             # the supremum is infinite
@@ -78,76 +75,75 @@ class NumericConjugate(OrliczGenerator):
             try:
                 _, hi = monotone_boundary(stop, rel_tol=math.inf, lo=0.0)
             except BracketError:
-                return EXT_INF
+                return math.inf
             if base.left_deriv(t, hi) < v:
-                return EXT_INF
+                return math.inf
         _, best = golden_max(g, 0.0, hi, rel_tol=GOLDEN_REL_TOL)
         # the sup may sit at the edge of the finite region
         edge = monotone_cap(
-            lambda u: 0.0 if base.phi(t, u).is_finite else math.inf, 0.0, 0.0, hi
+            lambda u: 0.0 if math.isfinite(base.phi(t, u)) else math.inf, 0.0, 0.0, hi
         )
         best = max(best, g(edge))
         if best > _VALUE_CUTOFF:
-            return EXT_INF
-        return fin(max(0.0, best))
+            return math.inf
+        return max(0.0, best)
 
     # -- derivatives (difference quotients, Richardson-stabilized) -------------
 
-    def _quotient(self, t: float, v: float, side: int) -> ExtReal:
+    def _quotient(self, t: float, v: float, side: int) -> float:
         vals = []
         h = 1e-4 if side > 0 else min(1e-4, v / 2.0)
         if h <= 0.0:
-            return EXT_ZERO
+            return 0.0
         f0 = self._phi(t, v)
-        if not f0.is_finite:
-            return EXT_INF
+        if math.isinf(f0):
+            return math.inf
         for _ in range(6):
             f1 = self._phi(t, v + side * h)
-            if not f1.is_finite:
-                return EXT_INF
-            vals.append(side * (f1.value - f0.value) / h)
+            if math.isinf(f1):
+                return math.inf
+            vals.append(side * (f1 - f0) / h)
             h /= 2.0
         # first-order one-sided quotients: Richardson pair on the last halving
         est = 2.0 * vals[-1] - vals[-2]
-        return fin(max(0.0, est))
+        return max(0.0, est)
 
-    def _left(self, t: float, v: float) -> ExtReal:
+    def _left(self, t: float, v: float) -> float:
         return self._quotient(t, v, -1)
 
-    def _right(self, t: float, v: float) -> ExtReal:
+    def _right(self, t: float, v: float) -> float:
         return self._quotient(t, v, +1)
 
     # -- structure --------------------------------------------------------------
 
     def zero_bound(self, t: float) -> float:
-        d = self.base.right_deriv(t, 0.0)
-        return d.value if d.is_finite else math.inf
+        return self.base.right_deriv(t, 0.0)
 
-    def finite_bound(self, t: float) -> ExtReal:
+    def finite_bound(self, t: float) -> float:
         cached = self._bound_cache.get(t)
         if cached is None:
             cached = self._slope_at_infinity(t)
             self._bound_cache[t] = cached
         return cached
 
-    def _slope_at_infinity(self, t: float) -> ExtReal:
+    def _slope_at_infinity(self, t: float) -> float:
         base = self.base
-        if base.finite_bound(t).is_finite:
-            return EXT_INF  # bounded domain => conjugate finite everywhere
+        if math.isfinite(base.finite_bound(t)):
+            return math.inf  # bounded domain => conjugate finite everywhere
         u = 1.0
         prev = None
         for _ in range(500):
             e = base.phi(t, u)
-            if not e.is_finite:
-                return EXT_INF
-            slope = e.value / u
+            if math.isinf(e):
+                return math.inf
+            slope = e / u
             if slope > _VALUE_CUTOFF:
-                return EXT_INF
+                return math.inf
             if prev is not None and abs(slope - prev) <= 1e-10 * max(1.0, slope):
-                return fin(slope)
+                return slope
             prev = slope
             u *= 2.0
-        return EXT_INF
+        return math.inf
 
 
 #: the cache saves object construction and keeps one NumericConjugate (with
@@ -176,24 +172,24 @@ def young_gap(
     u: float,
     v: float,
     conj: OrliczGenerator | None = None,
-) -> ExtReal:
+) -> float:
     """phi(t,u) + phi*(t,v) - u*v, always >= 0; zero exactly when v lies in
     the subdifferential of phi(t, .) at u."""
     if conj is None:
         conj = conjugate(gen)
     a = gen.phi(t, u)
     b = conj.phi(t, v)
-    if not (a.is_finite and b.is_finite):
-        return EXT_INF
-    gap = a.value + b.value - u * v
+    if math.isinf(a) or math.isinf(b):
+        return math.inf
+    gap = a + b - u * v
     if gap < 0.0:
         tol = (1e-8 if getattr(conj, "numeric", False) else 1e-12) * max(
-            1.0, a.value + b.value, u * v
+            1.0, a + b, u * v
         )
         if gap < -tol:
             raise AssertionError(f"Young inequality violated: gap = {gap}")
         gap = 0.0
-    return fin(gap)
+    return gap
 
 
 def biconjugate_residual(gen: OrliczGenerator, t: float, u_grid) -> float:
@@ -204,8 +200,8 @@ def biconjugate_residual(gen: OrliczGenerator, t: float, u_grid) -> float:
     for u in u_grid:
         a = gen.phi(t, float(u))
         b = second.phi(t, float(u))
-        if a.is_finite != b.is_finite:
+        if math.isfinite(a) != math.isfinite(b):
             return math.inf
-        if a.is_finite:
-            worst = max(worst, abs(a.value - b.value))
+        if math.isfinite(a):
+            worst = max(worst, abs(a - b))
     return worst

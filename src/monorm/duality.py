@@ -72,9 +72,7 @@ def magnitude_cap(conj: OrliczGenerator, t: float, budget: float, lo: float = 0.
     lo itself when the budget is not positive."""
     if budget <= 0.0:
         return lo
-    return monotone_cap(
-        lambda m: conj.phi(t, m).as_float(), budget, lo, conj.finite_bound(t).as_float()
-    )
+    return monotone_cap(lambda m: conj.phi(t, m), budget, lo, conj.finite_bound(t))
 
 
 def orlicz_norm_bruteforce(
@@ -103,9 +101,9 @@ def orlicz_norm_bruteforce(
         pts = _magnitude_grid(cap, resolution)
         entries = []
         for m in pts:
-            c = conj.phi(coords[i], m)
-            if c.is_finite and weights[i] * c.value <= 1.0 + 1e-12:
-                entries.append((m, weights[i] * c.value))
+            c = weights[i] * conj.phi(coords[i], m)
+            if c <= 1.0 + 1e-12:
+                entries.append((m, c))
         grids.append(entries)
 
     gains = [weights[i] * abs(u.values[i]) for i in supp]
@@ -144,9 +142,9 @@ def orlicz_norm_bruteforce(
             total = 0.0
             for r in others:
                 c = conj.phi(coords[supp[r]], s * mags[r])
-                if not c.is_finite:
+                if math.isinf(c):
                     return math.inf
-                total += weights[supp[r]] * c.value
+                total += weights[supp[r]] * c
             return total
 
         return monotone_cap(cost, budget, 0.0, math.inf)
@@ -156,9 +154,9 @@ def orlicz_norm_bruteforce(
 
         def h(mj: float, j=j, i=i, rest_gain=rest_gain) -> float:
             c = conj.phi(coords[i], mj)
-            if not c.is_finite:
+            if math.isinf(c):
                 return -math.inf
-            budget = 1.0 - weights[i] * c.value
+            budget = 1.0 - weights[i] * c
             if budget < -1e-12:
                 return -math.inf
             s = fill_scale(j, max(0.0, budget))
@@ -167,7 +165,7 @@ def orlicz_norm_bruteforce(
         m_best, val = golden_max(h, 0.0, caps[j], rel_tol=1e-10)
         if val > sum(g * m for g, m in zip(gains, mags)):
             c = conj.phi(coords[i], m_best)
-            budget = 1.0 - weights[i] * c.value
+            budget = 1.0 - weights[i] * c
             s = fill_scale(j, max(0.0, budget))
             for r in range(len(supp)):
                 if r != j:
@@ -270,8 +268,7 @@ def holder_equality_pair(
         return None
     lux = luxemburg_norm(gen, space, u)
     scaled = u * (1.0 / lux)
-    m = modular(gen, space, scaled)
-    if not m.is_finite or abs(m.value - 1.0) > 1e-9:
+    if abs(modular(gen, space, scaled) - 1.0) > 1e-9:
         return None
     vals = []
     for (t, _), ui in zip(space.items(), scaled.values):
@@ -279,11 +276,11 @@ def holder_equality_pair(
             vals.append(0.0)
             continue
         d = gen.right_deriv(t, abs(ui))
-        if not d.is_finite:
+        if math.isinf(d):
             d = gen.left_deriv(t, abs(ui))
-            if not d.is_finite:
+            if math.isinf(d):
                 return None
-        vals.append(sgn(ui) * d.value)
+        vals.append(sgn(ui) * d)
     return SimpleFunction(space, tuple(vals))
 
 
@@ -306,10 +303,7 @@ def dual_functional_norm(
         return 0.0
 
     def feasible(lam: float) -> bool:
-        m = modular(conj, space, d.v * (1.0 / lam))
-        if not m.is_finite:
-            return False
-        return m.value + d.s_norm / lam <= 1.0
+        return modular(conj, space, d.v * (1.0 / lam)) + d.s_norm / lam <= 1.0
 
     _, hi = monotone_boundary(feasible)
     return hi

@@ -17,6 +17,7 @@ exponents of a few thousand (resolutions around 2^12).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .generators import VariableExponentGenerator, modular
@@ -69,9 +70,9 @@ def _block_level(gen, space, idx) -> float:
         total = 0.0
         for i in idx:
             e = gen.phi(space.coords[i], c)
-            if not e.is_finite:
-                return float("inf")
-            total += space.weights[i] * e.value
+            if math.isinf(e):
+                return math.inf
+            total += space.weights[i] * e
         return total
 
     lo, hi = monotone_boundary(lambda c: block_modular(c) >= 1.0, rel_tol=0.0)

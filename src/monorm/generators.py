@@ -11,9 +11,13 @@ and (where known) the convex conjugate are exact.
 Derivative conventions used throughout:
 
 * the left derivative at 0 is 0;
-* the right derivative at u >= b(t) is the infinity tag (the function
-  jumps beyond its effective domain), which keeps the k-interval
-  bisection predicates monotone.
+* the right derivative at u >= b(t) is math.inf (the function jumps
+  beyond its effective domain), which keeps the k-interval bisection
+  predicates monotone.
+
+Values, derivatives and bounds are plain floats in [0, inf], with math.inf
+for "infinite".  The weighted sums never form 0 * inf, since every weight is
+> 0 and phi(t, 0) = 0; validate_generator rejects NaN and negative values.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, SpaceMismatchError
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .solvers import monotone_cap
 from .space import GridMeasureSpace, SimpleFunction
 
@@ -42,7 +45,6 @@ __all__ = [
     "TruncatedGenerator",
     "CappedGenerator",
     "Delta2Profile",
-    "eval_phi",
     "subdiff",
     "generator_bounds",
     "modular",
@@ -52,15 +54,14 @@ __all__ = [
 ]
 
 
-def _pow(x: float, p: float, coef: float = 1.0) -> ExtReal:
-    """coef * x**p with overflow saturating to the infinity tag."""
+def _pow(x: float, p: float, coef: float = 1.0) -> float:
+    """coef * x**p with overflow saturating to math.inf."""
     if x == 0.0:
-        return EXT_ZERO
+        return 0.0
     try:
-        v = coef * x**p
+        return coef * x**p
     except OverflowError:
-        return EXT_INF
-    return fin(v)
+        return math.inf
 
 
 @dataclass(frozen=True)
@@ -83,35 +84,31 @@ class OrliczGenerator:
 
     # -- evaluation ----------------------------------------------------------
 
-    def phi(self, t: float, u: float) -> ExtReal:
+    def phi(self, t: float, u: float) -> float:
         if u < 0:
             raise DomainError(f"phi is defined for u >= 0, got {u}")
         if math.isinf(u):
-            return EXT_INF
+            return math.inf
         return self._phi(t, u)
 
-    def phi_ext(self, t: float, x: ExtReal) -> ExtReal:
-        return self._phi(t, x.value) if x.is_finite else EXT_INF
-
-    def left_deriv(self, t: float, u: float) -> ExtReal:
+    def left_deriv(self, t: float, u: float) -> float:
         """Left derivative, with the convention phi'_-(t, 0) = 0.
 
-        Beyond the effective domain the value is the infinity tag.
+        Beyond the effective domain the value is math.inf.
         """
         if u <= 0:
-            return EXT_ZERO
-        b = self.finite_bound(t)
-        if b.is_finite and u > b.value:
-            return EXT_INF
+            return 0.0
+        if u > self.finite_bound(t):
+            return math.inf
         return self._left(t, u)
 
-    def right_deriv(self, t: float, u: float) -> ExtReal:
-        """Right derivative; infinity at and beyond b(t)."""
+    def right_deriv(self, t: float, u: float) -> float:
+        """Right derivative; math.inf at and beyond b(t)."""
         if u < 0:
             raise DomainError(f"derivative requested at u = {u} < 0")
         b = self.finite_bound(t)
-        if b.is_finite and u >= b.value:
-            return EXT_INF
+        if math.isfinite(b) and u >= b:
+            return math.inf
         return self._right(t, u)
 
     # -- structure -----------------------------------------------------------
@@ -119,13 +116,13 @@ class OrliczGenerator:
     def zero_bound(self, t: float) -> float:
         return 0.0
 
-    def finite_bound(self, t: float) -> ExtReal:
-        return EXT_INF
+    def finite_bound(self, t: float) -> float:
+        return math.inf
 
     def analytic_conjugate(self) -> Optional["OrliczGenerator"]:
         return None
 
-    def derivative_jumps(self, t: float) -> Optional[list[tuple[float, ExtReal, ExtReal]]]:
+    def derivative_jumps(self, t: float) -> Optional[list[tuple[float, float, float]]]:
         """Jump discontinuities of the derivative as (location, lo, hi).
 
         Includes the convention gap (0, 0, phi'_+(t,0)) when the right
@@ -145,19 +142,17 @@ class OrliczGenerator:
 
     def derivative_threshold(self, t: float, n: float) -> float:
         """sup{x >= 0 : phi'_-(t, x) <= n} (may be math.inf)."""
-        return monotone_cap(
-            lambda x: self.left_deriv(t, x).as_float(), n, 0.0, self.finite_bound(t).as_float()
-        )
+        return monotone_cap(lambda x: self.left_deriv(t, x), n, 0.0, self.finite_bound(t))
 
     # -- to be provided by families -------------------------------------------
 
-    def _phi(self, t: float, u: float) -> ExtReal:
+    def _phi(self, t: float, u: float) -> float:
         raise NotImplementedError
 
-    def _left(self, t: float, u: float) -> ExtReal:
+    def _left(self, t: float, u: float) -> float:
         raise NotImplementedError
 
-    def _right(self, t: float, u: float) -> ExtReal:
+    def _right(self, t: float, u: float) -> float:
         raise NotImplementedError
 
 
@@ -186,7 +181,7 @@ class PowerGenerator(OrliczGenerator):
         return _pow(u, self.p - 1.0)
 
     def _right(self, t, u):
-        return _pow(u, self.p - 1.0) if u > 0 else EXT_ZERO
+        return _pow(u, self.p - 1.0) if u > 0 else 0.0
 
     def analytic_conjugate(self):
         q = self.p / (self.p - 1.0)
@@ -277,7 +272,7 @@ class VariableExponentGenerator(OrliczGenerator):
         return _pow(u, p - 1.0, self._c(t) * p)
 
     def _right(self, t, u):
-        return self._left(t, u) if u > 0 else EXT_ZERO
+        return self._left(t, u) if u > 0 else 0.0
 
     def analytic_conjugate(self):
         def conj_p(t: float) -> float:
@@ -322,15 +317,15 @@ class ExpMinusOneGenerator(OrliczGenerator):
 
     def _phi(self, t, u):
         try:
-            return fin(math.expm1(u) - u)
+            return math.expm1(u) - u
         except OverflowError:
-            return EXT_INF
+            return math.inf
 
     def _deriv(self, u):
         try:
-            return fin(math.expm1(u))
+            return math.expm1(u)
         except OverflowError:
-            return EXT_INF
+            return math.inf
 
     def _left(self, t, u):
         return self._deriv(u)
@@ -357,13 +352,13 @@ class XLogXGenerator(OrliczGenerator):
     differentiable = True
 
     def _phi(self, t, u):
-        return fin((1.0 + u) * math.log1p(u) - u)
+        return (1.0 + u) * math.log1p(u) - u
 
     def _left(self, t, u):
-        return fin(math.log1p(u))
+        return math.log1p(u)
 
     def _right(self, t, u):
-        return fin(math.log1p(u))
+        return math.log1p(u)
 
     def analytic_conjugate(self):
         return ExpMinusOneGenerator()
@@ -393,19 +388,19 @@ class LinearGenerator(OrliczGenerator):
             raise ValueError("linear family needs slope > 0")
 
     def _phi(self, t, u):
-        return fin(self.slope * u)
+        return self.slope * u
 
     def _left(self, t, u):
-        return fin(self.slope)
+        return self.slope
 
     def _right(self, t, u):
-        return fin(self.slope)
+        return self.slope
 
     def analytic_conjugate(self):
         return IndicatorGenerator(self.slope)
 
     def derivative_jumps(self, t):
-        return [(0.0, EXT_ZERO, fin(self.slope))]
+        return [(0.0, 0.0, self.slope)]
 
     def delta2_profile(self):
         return Delta2Profile(2.0)
@@ -428,26 +423,26 @@ class IndicatorGenerator(OrliczGenerator):
             raise ValueError("indicator family needs threshold c > 0")
 
     def _phi(self, t, u):
-        return EXT_ZERO if u <= self.c else EXT_INF
+        return 0.0 if u <= self.c else math.inf
 
     def _left(self, t, u):
-        return EXT_ZERO
+        return 0.0
 
     def _right(self, t, u):
         # the base wrapper returns infinity at and beyond u = c
-        return EXT_ZERO
+        return 0.0
 
     def zero_bound(self, t):
         return self.c
 
     def finite_bound(self, t):
-        return fin(self.c)
+        return self.c
 
     def analytic_conjugate(self):
         return LinearGenerator(self.c)
 
     def derivative_jumps(self, t):
-        return [(self.c, EXT_ZERO, EXT_INF)]
+        return [(self.c, 0.0, math.inf)]
 
     def derivative_threshold(self, t, n):
         return self.c
@@ -555,29 +550,29 @@ class PiecewiseGenerator(OrliczGenerator):
     def _phi(self, t, u):
         starts, derivs, values, end, end_value, _ = self._table
         if self.bounded and u > end:
-            return EXT_INF
+            return math.inf
         if self.bounded and u == end:
-            return fin(end_value)
+            return end_value
         j = self._locate_right(u)
         du = u - starts[j]
-        return fin(values[j] + derivs[j] * du + 0.5 * self.pieces[j].slope * du * du)
+        return values[j] + derivs[j] * du + 0.5 * self.pieces[j].slope * du * du
 
     def _left(self, t, u):
         starts, derivs, _, end, _, end_deriv = self._table
         if self.bounded and u >= end:
-            return fin(end_deriv)
+            return end_deriv
         i = bisect_left(starts, u)
         if i < len(starts) and starts[i] == u:
             j = i - 1
             p = self.pieces[j]
-            return fin(derivs[j] + p.slope * (u - starts[j]))
+            return derivs[j] + p.slope * (u - starts[j])
         j = i - 1
-        return fin(derivs[j] + self.pieces[j].slope * (u - starts[j]))
+        return derivs[j] + self.pieces[j].slope * (u - starts[j])
 
     def _right(self, t, u):
         starts, derivs, _, _, _, _ = self._table
         j = self._locate_right(u)
-        return fin(derivs[j] + self.pieces[j].slope * (u - starts[j]))
+        return derivs[j] + self.pieces[j].slope * (u - starts[j])
 
     def zero_bound(self, t):
         starts, derivs, _, end, _, _ = self._table
@@ -587,20 +582,19 @@ class PiecewiseGenerator(OrliczGenerator):
         return end
 
     def finite_bound(self, t):
-        end = self._table[3]
-        return fin(end) if self.bounded else EXT_INF
+        return self._table[3]
 
     def derivative_jumps(self, t):
         starts, derivs, _, end, _, end_deriv = self._table
-        out: list[tuple[float, ExtReal, ExtReal]] = []
+        out: list[tuple[float, float, float]] = []
         if self.pieces[0].jump > 0:
-            out.append((0.0, EXT_ZERO, fin(derivs[0])))
+            out.append((0.0, 0.0, derivs[0]))
         for j in range(1, len(self.pieces)):
             p = self.pieces[j]
             if p.jump > 0:
-                out.append((starts[j], fin(derivs[j] - p.jump), fin(derivs[j])))
+                out.append((starts[j], derivs[j] - p.jump, derivs[j]))
         if self.bounded:
-            out.append((end, fin(end_deriv), EXT_INF))
+            out.append((end, end_deriv, math.inf))
         return out
 
     def analytic_conjugate(self):
@@ -660,8 +654,8 @@ def _estimate_doubling_constant(gen: OrliczGenerator, t: float, f: float) -> flo
     for _ in range(steps + 1):
         den = gen.phi(t, u)
         num = gen.phi(t, 2.0 * u)
-        if den.is_finite and den.value > 0 and num.is_finite:
-            worst = max(worst, num.value / den.value)
+        if math.isfinite(den) and den > 0 and math.isfinite(num):
+            worst = max(worst, num / den)
         u *= ratio_step
     return worst * 1.02
 
@@ -696,10 +690,7 @@ class TruncatedGenerator(OrliczGenerator):
     def _threshold(self, t: float) -> float:
         u_n = self._thresholds.get(t)
         if u_n is None:
-            u_n = self.base.derivative_threshold(t, self.n)
-            b = self.base.finite_bound(t)
-            if b.is_finite:
-                u_n = min(u_n, b.value)
+            u_n = min(self.base.derivative_threshold(t, self.n), self.base.finite_bound(t))
             self._thresholds[t] = u_n
         return u_n
 
@@ -711,12 +702,10 @@ class TruncatedGenerator(OrliczGenerator):
         return head + self.n * (u - u_n)
 
     def _left(self, t, u):
-        d = self.base.left_deriv(t, u)
-        return d if d <= self.n else fin(self.n)
+        return min(self.base.left_deriv(t, u), self.n)
 
     def _right(self, t, u):
-        d = self.base.right_deriv(t, u)
-        return d if d <= self.n else fin(self.n)
+        return min(self.base.right_deriv(t, u), self.n)
 
     def zero_bound(self, t):
         return self.base.zero_bound(t)
@@ -726,10 +715,8 @@ class TruncatedGenerator(OrliczGenerator):
         if base_jumps is None:
             return None
         out = []
-        cap = fin(self.n)
         for x, lo, hi in base_jumps:
-            lo2 = lo if lo <= cap else cap
-            hi2 = hi if hi <= cap else cap
+            lo2, hi2 = min(lo, self.n), min(hi, self.n)
             if lo2 < hi2:
                 out.append((x, lo2, hi2))
         return out
@@ -770,7 +757,7 @@ class CappedGenerator(OrliczGenerator):
             raise ValueError("domain cap must be > 0")
 
     def _phi(self, t, u):
-        return self.base.phi(t, u) if u <= self.cap else EXT_INF
+        return self.base.phi(t, u) if u <= self.cap else math.inf
 
     def _left(self, t, u):
         return self.base.left_deriv(t, u)
@@ -782,8 +769,7 @@ class CappedGenerator(OrliczGenerator):
         return min(self.base.zero_bound(t), self.cap)
 
     def finite_bound(self, t):
-        b = self.base.finite_bound(t)
-        return b if b <= self.cap else fin(self.cap)
+        return min(self.base.finite_bound(t), self.cap)
 
     def analytic_conjugate(self):
         conj = self.base.analytic_conjugate()
@@ -793,13 +779,13 @@ class CappedGenerator(OrliczGenerator):
         base_jumps = self.base.derivative_jumps(t)
         if base_jumps is None:
             return None
-        b = self.finite_bound(t).value
+        b = self.finite_bound(t)
         out = [j for j in base_jumps if j[0] < b]
-        out.append((b, self.left_deriv(t, b), EXT_INF))
+        out.append((b, self.left_deriv(t, b), math.inf))
         return out
 
     def derivative_threshold(self, t, n):
-        return min(self.base.derivative_threshold(t, n), self.finite_bound(t).value)
+        return min(self.base.derivative_threshold(t, n), self.finite_bound(t))
 
 
 # ---------------------------------------------------------------------------
@@ -807,33 +793,28 @@ class CappedGenerator(OrliczGenerator):
 # ---------------------------------------------------------------------------
 
 
-def eval_phi(gen: OrliczGenerator, t: float, u: float) -> ExtReal:
-    """phi(t, u); the infinity tag exactly beyond the effective domain."""
-    return gen.phi(t, u)
-
-
-def subdiff(gen: OrliczGenerator, t: float, u: float) -> tuple[ExtReal, ExtReal]:
+def subdiff(gen: OrliczGenerator, t: float, u: float) -> tuple[float, float]:
     """The subdifferential interval [phi'_-(t,u), phi'_+(t,u)].
 
     Raises DomainError beyond b(t).  At u = 0 the lower end is 0 by
-    convention; at u = b(t) the upper end is the infinity tag.
+    convention; at u = b(t) the upper end is math.inf.
     """
     if u < 0:
         raise DomainError(f"subdifferential requested at u = {u} < 0")
     b = gen.finite_bound(t)
-    if b.is_finite and u > b.value:
-        raise DomainError(f"u = {u} lies outside the effective domain (b = {b.value})")
+    if u > b:
+        raise DomainError(f"u = {u} lies outside the effective domain (b = {b})")
     return gen.left_deriv(t, u), gen.right_deriv(t, u)
 
 
-def generator_bounds(gen: OrliczGenerator, t: float) -> tuple[float, ExtReal]:
+def generator_bounds(gen: OrliczGenerator, t: float) -> tuple[float, float]:
     """(a(t), b(t)): the largest zero and the boundary of the finite domain."""
     return gen.zero_bound(t), gen.finite_bound(t)
 
 
 def modular(
     gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
-) -> ExtReal:
+) -> float:
     """I(u) = sum_i w_i * phi(t_i, |u_i|); infinite if any atom is.
 
     The sum is correctly rounded (math.fsum), so it does not depend on the
@@ -844,10 +825,10 @@ def modular(
     parts = []
     for (t, w), ui in zip(space.items(), u.values):
         e = gen.phi(t, abs(ui))
-        if not e.is_finite:
-            return EXT_INF
-        parts.append(w * e.value)
-    return fin(math.fsum(parts))
+        if math.isinf(e):
+            return math.inf
+        parts.append(w * e)
+    return math.fsum(parts)
 
 
 def truncate(gen: OrliczGenerator, n: float) -> TruncatedGenerator:
@@ -869,9 +850,10 @@ def validate_generator(
 ) -> list[Violation]:
     """Numerically assert the defining properties on a sample grid.
 
-    Checks: phi(t,0) = 0 with the right limit 0, monotonicity, midpoint
-    convexity, lower semi-continuity at a finite b(t), ordered and
-    nondecreasing one-sided derivatives, phi(t,inf) = inf.
+    Checks: phi(t,0) = 0 with the right limit 0, values and one-sided
+    derivatives neither NaN nor negative, monotonicity, midpoint convexity,
+    lower semi-continuity at a finite b(t), ordered and nondecreasing
+    one-sided derivatives, phi(t,inf) = inf.
     Returns an empty list for every built-in family.
     """
     out: list[Violation] = []
@@ -879,7 +861,7 @@ def validate_generator(
     for t in ts:
         b = gen.finite_bound(t)
         if u_grid is None:
-            top = min(b.value * 0.999 if b.is_finite else 50.0, 50.0)
+            top = min(b * 0.999, 50.0)
             grid = sorted(
                 {0.0, top}
                 | {top * j / 49.0 for j in range(1, 49)}
@@ -888,17 +870,19 @@ def validate_generator(
         else:
             grid = sorted(set(float(x) for x in u_grid))
 
-        if gen.phi(t, 0.0) != EXT_ZERO:
+        if gen.phi(t, 0.0) != 0.0:
             out.append(Violation("zero_at_origin", t, f"phi(t,0) = {gen.phi(t, 0.0)}"))
         small = gen.phi(t, 1e-9)
-        if small.is_finite and small.value > 1e-6:
-            out.append(Violation("limit_at_origin", t, f"phi(t,1e-9) = {small.value}"))
-        if gen.phi(t, math.inf) != EXT_INF:
+        if math.isfinite(small) and small > 1e-6:
+            out.append(Violation("limit_at_origin", t, f"phi(t,1e-9) = {small}"))
+        if gen.phi(t, math.inf) != math.inf:
             out.append(Violation("infinite_at_infinity", t, "phi(t,inf) finite"))
 
-        prev = EXT_ZERO
+        prev = 0.0
         for u in grid:
             cur = gen.phi(t, u)
+            if not cur >= 0.0:
+                out.append(Violation("nan_or_negative", t, f"phi(t,{u}) = {cur}"))
             if cur < prev:
                 out.append(Violation("monotone", t, f"phi decreases at u = {u}"))
             prev = cur
@@ -907,9 +891,9 @@ def validate_generator(
             u1, u2 = grid[i], grid[i + 2]
             mid = 0.5 * (u1 + u2)
             f1, f2, fm = gen.phi(t, u1), gen.phi(t, u2), gen.phi(t, mid)
-            if f1.is_finite and f2.is_finite and fm.is_finite:
-                slack = 0.5 * (f1.value + f2.value) - fm.value
-                if slack < -1e-12 * max(1.0, f1.value + f2.value):
+            if math.isfinite(f1) and math.isfinite(f2) and math.isfinite(fm):
+                slack = 0.5 * (f1 + f2) - fm
+                if slack < -1e-12 * max(1.0, f1 + f2):
                     out.append(
                         Violation(
                             "midpoint_convexity",
@@ -918,22 +902,24 @@ def validate_generator(
                         )
                     )
 
-        if b.is_finite:
-            val_at_b = gen.phi(t, b.value)
-            approach = gen.phi(t, b.value * (1.0 - 1e-9))
-            if val_at_b.is_finite != approach.is_finite or (
-                val_at_b.is_finite
-                and abs(val_at_b.value - approach.value) > 1e-6 * (1.0 + val_at_b.value)
+        if math.isfinite(b):
+            val_at_b = gen.phi(t, b)
+            approach = gen.phi(t, b * (1.0 - 1e-9))
+            if math.isfinite(val_at_b) != math.isfinite(approach) or (
+                math.isfinite(val_at_b)
+                and abs(val_at_b - approach) > 1e-6 * (1.0 + val_at_b)
             ):
-                out.append(
-                    Violation("lower_semicontinuity", t, f"jump at b = {b.value}")
-                )
+                out.append(Violation("lower_semicontinuity", t, f"jump at b = {b}"))
 
-        prev_lo, prev_hi = EXT_ZERO, EXT_ZERO
+        prev_lo, prev_hi = 0.0, 0.0
         for u in grid:
-            if b.is_finite and u > b.value:
+            if u > b:
                 continue
             lo, hi = gen.left_deriv(t, u), gen.right_deriv(t, u)
+            if not (lo >= 0.0 and hi >= 0.0):
+                out.append(
+                    Violation("nan_or_negative", t, f"derivatives ({lo}, {hi}) at u = {u}")
+                )
             if lo > hi:
                 out.append(Violation("derivative_order", t, f"lo > hi at u = {u}"))
             if u > 0 and (lo < prev_lo or hi < prev_hi):

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 from .conjugate import conjugate
 from .errors import BracketError, DomainError
-from .extreal import EXT_INF, EXT_ZERO, ExtReal, fin
 from .generators import OrliczGenerator, modular
 from .norms import (
     K_WIDEN_REL,
@@ -112,8 +111,14 @@ class SpaceSmoothnessReport:
 class GapProfile:
     """Per-atom first location where the derivative gap reaches delta."""
 
-    locations: tuple[ExtReal, ...]
+    locations: tuple[float, ...]
     finite_mask: tuple[bool, ...]
+
+
+def _gap(hi: float, lo: float) -> float:
+    """The derivative gap hi - lo, and math.inf when either end is infinite
+    (where IEEE arithmetic would give NaN or -inf)."""
+    return hi - lo if math.isfinite(hi) and math.isfinite(lo) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -138,9 +143,9 @@ def _segments(
         lo = gen.left_deriv(t, x * (1.0 - widen))
         hi = gen.right_deriv(t, x * (1.0 + widen)) if x > 0 else gen.right_deriv(t, 0.0)
         if ui == 0.0:
-            lo, hi = EXT_ZERO, gen.right_deriv(t, 0.0)
-        c_lo = conj.phi_ext(t, lo)
-        c_hi = conj.phi_ext(t, hi)
+            lo, hi = 0.0, gen.right_deriv(t, 0.0)
+        c_lo = conj.phi(t, lo)
+        c_hi = conj.phi(t, hi)
         segs.append((t, w, lo, hi, c_lo, c_hi))
     return segs
 
@@ -157,7 +162,7 @@ def _select_density(
 
     Off-support atoms stay at zero (the sign condition pins them).  Returns
     the signed values and the final modular."""
-    mags = [seg[2].value for seg in segs]  # start at phi'_-
+    mags = [seg[2] for seg in segs]  # start at phi'_-
     for i, ui in enumerate(u.values):
         if ui == 0.0:
             mags[i] = 0.0
@@ -165,7 +170,7 @@ def _select_density(
     for i, (t, w, lo, hi, c_lo, c_hi) in enumerate(segs):
         if u.values[i] == 0.0:
             continue
-        total += w * c_lo.value
+        total += w * c_lo
     for i in order:
         t, w, lo, hi, c_lo, c_hi = segs[i]
         if u.values[i] == 0.0:
@@ -173,16 +178,16 @@ def _select_density(
         budget = 1.0 - total
         if budget <= 0.0:
             break
-        if hi.is_finite and c_hi.is_finite and w * (c_hi.value - c_lo.value) <= budget:
-            mags[i] = hi.value
-            total += w * (c_hi.value - c_lo.value)
+        if math.isfinite(hi) and math.isfinite(c_hi) and w * (c_hi - c_lo) <= budget:
+            mags[i] = hi
+            total += w * (c_hi - c_lo)
             continue
         # fractional atom: bisect inside the segment for the exact level
         def cost(m: float, t=t, w=w, c_lo=c_lo) -> float:
             c = conj.phi(t, m)
-            return w * (c.value - c_lo.value) if c.is_finite else math.inf
+            return w * (c - c_lo) if math.isfinite(c) else math.inf
 
-        m = monotone_cap(cost, budget, lo.value, hi.as_float())
+        m = monotone_cap(cost, budget, lo, hi)
         gained = cost(m)
         if math.isfinite(gained) and gained > 0.0:
             mags[i] = m
@@ -215,7 +220,7 @@ def construct_support_functional(
             if ui == 0.0:
                 vals.append(0.0)
             else:
-                vals.append(sgn(ui) * conj.finite_bound(t).value)
+                vals.append(sgn(ui) * conj.finite_bound(t))
         v = SimpleFunction(space, tuple(vals))
         d = DualDensity(v, 0.0)
         return SupportFunctional(
@@ -279,13 +284,13 @@ def verify_support_functional(
 
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
-        total = m.as_float() + f.s_norm
+        total = m + f.s_norm
         clauses.append(
             ClauseCheck(
                 "modular_plus_singular",
                 total,
                 1.0,
-                m.is_finite and abs(total - 1.0) <= eps_eq,
+                abs(total - 1.0) <= eps_eq,
             )
         )
         if f.s_norm <= eps_eq:
@@ -319,16 +324,17 @@ def verify_support_functional(
                 if mag <= eps_eq:
                     # a zero value is admissible exactly when 0 lies in the
                     # subdifferential (sgn 0 is compatible with either sign)
-                    if lo.is_finite and lo.value > eps_eq:
+                    if math.isfinite(lo) and lo > eps_eq:
                         ok = False
-                        worst = max(worst, lo.value)
+                        worst = max(worst, lo)
                     continue
                 if sgn(vi) != sgn(ui):
                     ok = False
                     worst = max(worst, mag + 1.0)
                     continue
-                below = lo.value - mag if lo.is_finite else -math.inf
-                above = mag - hi.value if hi.is_finite else -math.inf
+                # an infinite lower end is no shortfall (IEEE would give +inf)
+                below = lo - mag if math.isfinite(lo) else -math.inf
+                above = mag - hi
                 excess = max(below, above)
                 if excess > eps_eq:
                     ok = False
@@ -336,13 +342,13 @@ def verify_support_functional(
         clauses.append(ClauseCheck("sign_and_subdifferential", worst, 0.0, ok))
     else:
         branch = "k_empty"
-        total = m.as_float() + f.s_norm
+        total = m + f.s_norm
         clauses.append(
             ClauseCheck(
                 "modular_plus_singular_leq",
                 total,
                 1.0,
-                m.is_finite and total <= 1.0 + eps_eq,
+                total <= 1.0 + eps_eq,
             )
         )
         worst = 0.0
@@ -350,7 +356,7 @@ def verify_support_functional(
         for (t, _), ui, vi in zip(space.items(), u.values, f.v.values):
             if ui == 0.0:
                 continue
-            want = sgn(ui) * conj.finite_bound(t).value
+            want = sgn(ui) * conj.finite_bound(t)
             err = abs(vi - want)
             if err > eps_eq:
                 ok = False
@@ -367,16 +373,16 @@ def verify_support_functional(
 
 def _one_sided_modular(
     conj: OrliczGenerator, segs, u: SimpleFunction, side: str
-) -> ExtReal:
+) -> float:
     total = 0.0
     for (t, w, lo, hi, c_lo, c_hi), ui in zip(segs, u.values):
         val = c_lo if side == "lo" else c_hi
         if ui == 0.0:
-            val = conj.phi_ext(t, EXT_ZERO if side == "lo" else hi)
-        if not val.is_finite:
-            return EXT_INF
-        total += w * val.value
-    return fin(total)
+            val = conj.phi(t, 0.0 if side == "lo" else hi)
+        if math.isinf(val):
+            return math.inf
+        total += w * val
+    return total
 
 
 def classify_smooth_point(
@@ -406,21 +412,21 @@ def classify_smooth_point(
         segs = _segments(gen, conj, space, u, ks.k_star)
         i_lo = _one_sided_modular(conj, segs, u, "lo")
         i_hi = _one_sided_modular(conj, segs, u, "hi")
-        cond_i = i_lo.is_finite and abs(i_lo.value - 1.0) <= eps_eq
+        cond_i = abs(i_lo - 1.0) <= eps_eq
         conditions["left_modular_at_one"] = ClauseCheck(
-            "left_modular_at_one", i_lo.as_float(), 1.0, cond_i
+            "left_modular_at_one", i_lo, 1.0, cond_i
         )
         finite_beyond = gen.finite_valued
         if not finite_beyond:
             for j in range(1, 7):
                 lam = ks.k_star * (1.0 + 10.0**-j)
-                if modular(gen, space, u * lam).is_finite:
+                if math.isfinite(modular(gen, space, u * lam)):
                     finite_beyond = True
                     break
-        cond_ii_eq = i_hi.is_finite and abs(i_hi.value - 1.0) <= eps_eq
+        cond_ii_eq = abs(i_hi - 1.0) <= eps_eq
         cond_ii = cond_ii_eq and finite_beyond
         conditions["right_modular_at_one"] = ClauseCheck(
-            "right_modular_at_one", i_hi.as_float(), 1.0, cond_ii_eq
+            "right_modular_at_one", i_hi, 1.0, cond_ii_eq
         )
         conditions["finite_beyond_k_star"] = ClauseCheck(
             "finite_beyond_k_star", 1.0 if finite_beyond else 0.0, 1.0, finite_beyond
@@ -455,8 +461,7 @@ def classify_smooth_point(
     mass_all = 0.0
     off_a_max = 0.0
     for i, (t, w) in enumerate(space.items()):
-        val = conj.phi_ext(t, conj.finite_bound(t))
-        contrib = w * val.value if val.is_finite else math.inf
+        contrib = w * conj.phi(t, conj.finite_bound(t))
         mass_all += contrib
         if i in supp:
             mass_supp += contrib
@@ -490,7 +495,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
     conjugate zero bound there."""
     base = []
     for (t, _), ui in zip(space.items(), u.values):
-        base.append(sgn(ui) * conj.finite_bound(t).value if ui != 0.0 else 0.0)
+        base.append(sgn(ui) * conj.finite_bound(t) if ui != 0.0 else 0.0)
     off = [i for i, ui in enumerate(u.values) if ui == 0.0]
     if not off:
         return None
@@ -504,8 +509,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
     elif budget > eps_eq:
 
         def cost(m: float) -> float:
-            c = conj.phi(t, m)
-            return w * c.value if c.is_finite else math.inf
+            return w * conj.phi(t, m)
 
         second[i] = monotone_cap(cost, budget * 0.5, 0.0, math.inf)
     if second[i] <= eps_eq:
@@ -544,18 +548,15 @@ def check_space_smoothness(
     a_detail = []
     for t, _ in space.items():
         b = conj.finite_bound(t)
-        if b.is_finite:
-            val = conj.phi_ext(t, b)
-            atom_ok = not val.is_finite
+        if math.isfinite(b):
+            atom_ok = math.isinf(conj.phi(t, b))
         else:
             try:
-                monotone_boundary(
-                    lambda v: conj.phi(t, v).as_float() > 1e12, rel_tol=math.inf, lo=0.0
-                )
+                monotone_boundary(lambda v: conj.phi(t, v) > 1e12, rel_tol=math.inf, lo=0.0)
                 atom_ok = True
             except BracketError:
                 atom_ok = False
-        a_detail.append((t, b.as_float(), atom_ok))
+        a_detail.append((t, b, atom_ok))
         a_ok = a_ok and atom_ok
     evidence["a"] = tuple(a_detail)
     cond_a = ClauseCheck(
@@ -584,7 +585,7 @@ def check_space_smoothness(
     c_detail = []
     for t, _ in space.items():
         d0 = gen.right_deriv(t, 0.0)
-        atom_ok = d0.is_finite and d0.value <= 1e-12
+        atom_ok = d0 <= 1e-12
         gap_at = None
         if atom_ok:
             for delta in (1.0, 0.1, 0.01):
@@ -593,9 +594,9 @@ def check_space_smoothness(
                 )
                 if prof.finite_mask[0]:
                     atom_ok = False
-                    gap_at = (delta, prof.locations[0].as_float())
+                    gap_at = (delta, prof.locations[0])
                     break
-        c_detail.append((t, d0.as_float(), gap_at))
+        c_detail.append((t, d0, gap_at))
         c_ok = c_ok and atom_ok
     evidence["c"] = tuple(c_detail)
     cond_c = ClauseCheck(
@@ -623,80 +624,66 @@ def smoothness_gap_function(
     horizon: float = 1e6,
 ) -> GapProfile:
     """Per atom, the first u where phi'_+ - phi'_- reaches delta (the left
-    derivative at 0 counting as 0); the infinity tag where no such gap
-    exists.  Closed-form jump lists are used when the family provides them,
-    a scan with bisection otherwise."""
+    derivative at 0 counting as 0); math.inf where no such gap exists.
+    Closed-form jump lists are used when the family provides them, a scan
+    with bisection otherwise."""
     if not delta > 0:
         raise DomainError("delta must be > 0")
-    locations: list[ExtReal] = []
+    locations: list[float] = []
     mask: list[bool] = []
     for t, _ in space.items():
         jumps = gen.derivative_jumps(t)
         if jumps is not None:
-            loc = EXT_INF
+            loc = math.inf
             for x, lo, hi in jumps:
-                gap_val = (hi.value - lo.value) if (hi.is_finite and lo.is_finite) else math.inf
-                if gap_val >= delta:
-                    loc = fin(x)
+                if _gap(hi, lo) >= delta:
+                    loc = x
                     break
-            locations.append(loc)
-            mask.append(loc.is_finite)
         else:
             loc = _scan_gap(gen, t, delta, horizon)
-            locations.append(loc)
-            mask.append(loc.is_finite)
+        locations.append(loc)
+        mask.append(math.isfinite(loc))
     _assert_gap_postcondition(gen, space, delta, locations)
     return GapProfile(tuple(locations), tuple(mask))
 
 
-def _scan_gap(gen: OrliczGenerator, t: float, delta: float, horizon: float) -> ExtReal:
-    d0 = gen.right_deriv(t, 0.0)
-    if not d0.is_finite or d0.value >= delta:
-        return EXT_ZERO
+def _scan_gap(gen: OrliczGenerator, t: float, delta: float, horizon: float) -> float:
+    if gen.right_deriv(t, 0.0) >= delta:
+        return 0.0
     b = gen.finite_bound(t)
-    top = min(horizon, b.value if b.is_finite else horizon)
+    top = min(horizon, b)
     grid = [top * j / 400.0 for j in range(1, 401)]
     prev = 0.0
     for x in grid:
         r_prev = gen.right_deriv(t, prev)
         l_cur = gen.left_deriv(t, x)
-        seg_gap = (l_cur.value - r_prev.value) if (l_cur.is_finite and r_prev.is_finite) else math.inf
-        point_gap_hi = gen.right_deriv(t, x)
-        point_gap = (
-            point_gap_hi.value - l_cur.value
-            if point_gap_hi.is_finite and l_cur.is_finite
-            else math.inf
-        )
+        seg_gap = _gap(l_cur, r_prev)
+        point_gap = _gap(gen.right_deriv(t, x), l_cur)
         if point_gap >= delta:
-            return fin(x)
+            return x
         if seg_gap >= delta:
             # the first u in (prev, x] where the gap to phi'_+(prev) opens
             def opened(m: float) -> bool:
-                l_m = gen.left_deriv(t, m)
-                g = (l_m.value - r_prev.value) if (l_m.is_finite and r_prev.is_finite) else math.inf
-                return g >= delta
+                return _gap(gen.left_deriv(t, m), r_prev) >= delta
 
             _, hi = monotone_boundary(opened, start=x, rel_tol=0.0, lo=prev)
             # a smooth but steep rise also triggers the segment test; only
             # report the location if the pointwise gap is really there
             l_hi, r_hi = gen.left_deriv(t, hi), gen.right_deriv(t, hi)
-            g = (r_hi.value - l_hi.value) if (l_hi.is_finite and r_hi.is_finite) else math.inf
-            if g >= delta - 1e-9:
-                return fin(hi)
+            if _gap(r_hi, l_hi) >= delta - 1e-9:
+                return hi
         prev = x
-    if b.is_finite and top >= b.value * (1.0 - 1e-12):
-        return fin(b.value)  # the jump past the effective domain
-    return EXT_INF
+    if math.isfinite(b) and top >= b * (1.0 - 1e-12):
+        return b  # the jump past the effective domain
+    return math.inf
 
 
 def _assert_gap_postcondition(gen, space, delta, locations) -> None:
-    for (t, _), loc in zip(space.items(), locations):
-        if not loc.is_finite:
+    for (t, _), x in zip(space.items(), locations):
+        if math.isinf(x):
             continue
-        x = loc.value
-        lo = gen.left_deriv(t, x) if x > 0 else EXT_ZERO
-        hi = gen.right_deriv(t, x)
-        gap = (hi.value - lo.value) if (hi.is_finite and lo.is_finite) else math.inf
+        lo = gen.left_deriv(t, x) if x > 0 else 0.0
+        gap = _gap(gen.right_deriv(t, x), lo)
         if gap < delta - 1e-9:
             raise AssertionError(
                 f"gap postcondition failed at t={t}, u={x}: gap={gap} < {delta}"
@@ -752,23 +739,20 @@ def support_density_survey(
                 hi_m = hi if hi <= hi2 else hi2
                 if hi_m < lo_m:
                     hi_m = lo_m
-                merged.append((t, w, lo_m, hi_m, conj.phi_ext(t, lo_m), conj.phi_ext(t, hi_m)))
+                merged.append((t, w, lo_m, hi_m, conj.phi(t, lo_m), conj.phi(t, hi_m)))
             segs = merged
         axes: list[list[float]] = []
         costs: list[list[float]] = []
         step_cost = 0.0
         for i in supp:
             t, w, lo, hi, c_lo, c_hi = segs[i]
-            if hi.is_finite and hi.value - lo.value <= 1e-8 * max(1.0, hi.value):
-                pts = [lo.value]
+            if math.isfinite(hi) and hi - lo <= 1e-8 * max(1.0, hi):
+                pts = [lo]
             else:
-                top = min(hi.as_float(), magnitude_cap(conj, t, (1.0 + eps_eq) / w, lo.value))
+                top = min(hi, magnitude_cap(conj, t, (1.0 + eps_eq) / w, lo))
                 n = max(2, resolution)
-                pts = [lo.value + (top - lo.value) * j / (n - 1) for j in range(n)]
-            cvals = []
-            for m in pts:
-                c = conj.phi(t, m)
-                cvals.append(w * c.value if c.is_finite else math.inf)
+                pts = [lo + (top - lo) * j / (n - 1) for j in range(n)]
+            cvals = [w * conj.phi(t, m) for m in pts]
             finite_steps = [
                 abs(b - a) for a, b in zip(cvals, cvals[1:]) if math.isfinite(a) and math.isfinite(b)
             ]
@@ -785,9 +769,8 @@ def support_density_survey(
         for i in supp:
             t, w = space.coords[i], space.weights[i]
             b = conj.finite_bound(t)
-            pinned.append(b.value)
-            c = conj.phi_ext(t, b)
-            base_cost += w * c.value if c.is_finite else math.inf
+            pinned.append(b)
+            base_cost += w * conj.phi(t, b)
         off = [i for i in range(len(space)) if i not in supp]
         axes = []
         costs = []
@@ -796,10 +779,7 @@ def support_density_survey(
             top = magnitude_cap(conj, t, max(0.0, 1.0 + eps_eq - base_cost) / w)
             n = max(2, resolution)
             pts = [top * j / (n - 1) for j in range(n)]
-            cvals = []
-            for m in pts:
-                c = conj.phi(t, m)
-                cvals.append(w * c.value if c.is_finite else math.inf)
+            cvals = [w * conj.phi(t, m) for m in pts]
             axes.append(pts)
             costs.append(cvals)
         half = 0.5 * (1.0 + eps_eq - base_cost)

@@ -18,7 +18,6 @@ parsers accept, are input errors.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass
@@ -125,6 +124,10 @@ def _family_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
 
 
 def instance_digest(raw: dict) -> str:
+    # hashlib maps OpenSSL (about 3.5 MB of resident memory), so it is
+    # loaded on the first digest, not by every `import monorm`
+    import hashlib
+
     canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:16]
 

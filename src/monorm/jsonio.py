@@ -1,23 +1,20 @@
 """Deterministic JSON emission for reports.
 
 Numbers are printed with 17 significant digits (enough to round-trip IEEE
-doubles byte-identically); the infinity tag serializes as the string "inf"
-since JSON has no infinity literal.
+doubles byte-identically); math.inf, the value of an infinite modular,
+bound or derivative, serializes as the string "inf" since JSON has no
+infinity literal.
 """
 
 from __future__ import annotations
 
 import math
 
-from .extreal import ExtReal
-
 __all__ = ["to_json", "jsonable"]
 
 
 def jsonable(x):
     """Recursively convert report values into JSON-encodable structures."""
-    if isinstance(x, ExtReal):
-        return x.value if x.is_finite else "inf"
     if isinstance(x, float) and math.isinf(x):
         return "inf"
     if isinstance(x, dict):

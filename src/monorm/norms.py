@@ -17,11 +17,11 @@ k** = k*.  Downstream "= 1" tests use a 1e-7 equality band.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .conjugate import conjugate
 from .errors import DomainError, PreconditionError
-from .extreal import EXT_INF, ExtReal, fin
 from .generators import OrliczGenerator, modular
 from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
@@ -80,7 +80,7 @@ def luxemburg_norm(
     gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
 ) -> float:
     """inf{lambda > 0 : I(u/lambda) <= 1} by bisection on the nonincreasing
-    modular; the infinity tag counts as > 1.  Returns 0 for u = 0."""
+    modular; an infinite modular counts as > 1.  Returns 0 for u = 0."""
     if u.is_zero():
         return 0.0
 
@@ -97,32 +97,32 @@ def derivative_modular(
     space: GridMeasureSpace,
     u: SimpleFunction,
     k: float,
-) -> ExtReal:
+) -> float:
     """I*(phi'_+(., k|u|)): the conjugate modular of the right derivative,
     treating arguments at or beyond b(t) as infinite."""
     total = 0.0
     for (t, w), ui in zip(space.items(), u.values):
         d = gen.right_deriv(t, k * abs(ui))
-        val = conj.phi_ext(t, d)
-        if not val.is_finite:
-            return EXT_INF
-        total += w * val.value
-    return fin(total)
+        val = conj.phi(t, d)
+        if math.isinf(val):
+            return math.inf
+        total += w * val
+    return total
 
 
 def _degenerate_mass(
     conj: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
-) -> ExtReal:
+) -> float:
     """I*(b* chi_supp u)."""
     total = 0.0
     for (t, w), ui in zip(space.items(), u.values):
         if ui == 0.0:
             continue
-        val = conj.phi_ext(t, conj.finite_bound(t))
-        if not val.is_finite:
-            return EXT_INF
-        total += w * val.value
-    return fin(total)
+        val = conj.phi(t, conj.finite_bound(t))
+        if math.isinf(val):
+            return math.inf
+        total += w * val
+    return total
 
 
 def _l1_against_bound(
@@ -133,9 +133,9 @@ def _l1_against_bound(
         if ui == 0.0:
             continue
         b = conj.finite_bound(t)
-        if not b.is_finite:
+        if math.isinf(b):
             raise DomainError("degenerate norm requires finite b* on the support")
-        total += w * abs(ui) * b.value
+        total += w * abs(ui) * b
     return total
 
 
@@ -180,11 +180,8 @@ def k_interval(
 
 def _amemiya_objective(
     gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction, k: float
-) -> ExtReal:
-    m = modular(gen, space, u * k)
-    if not m.is_finite:
-        return EXT_INF
-    return fin((1.0 + m.value) / k)
+) -> float:
+    return (1.0 + modular(gen, space, u * k)) / k
 
 
 def orlicz_amemiya_norm(
@@ -203,7 +200,7 @@ def orlicz_amemiya_norm(
     ks = k_interval(gen, space, u, conj=conj)
     if isinstance(ks, KSetDegenerate):
         return ks.l1_value, ks
-    best = EXT_INF
+    best = math.inf
     for k in (
         ks.k_star * (1.0 - K_WIDEN_REL),
         ks.k_star,
@@ -212,9 +209,9 @@ def orlicz_amemiya_norm(
         val = _amemiya_objective(gen, space, u, k)
         if val < best:
             best = val
-    if not best.is_finite:
+    if math.isinf(best):
         raise DomainError("Amemiya quotient infinite on the whole k* bracket")
-    return best.value, ks
+    return best, ks
 
 
 def theta(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> float:
@@ -229,9 +226,7 @@ def theta(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> f
     for (t, _), ui in zip(space.items(), u.values):
         if ui == 0.0:
             continue
-        b = gen.finite_bound(t)
-        if b.is_finite:
-            worst = max(worst, abs(ui) / b.value)
+        worst = max(worst, abs(ui) / gen.finite_bound(t))
     return worst
 
 
@@ -239,8 +234,8 @@ def theta(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> f
 class Delta2Witness:
     t: float
     u: float
-    lhs: ExtReal
-    rhs: ExtReal
+    lhs: float
+    rhs: float
     ratio: float | None
 
 
@@ -273,7 +268,7 @@ def delta2_check(
         f = SimpleFunction.constant(space, float(f))
     if any(v < 0 for v in f.values):
         raise PreconditionError("threshold function must be nonnegative")
-    if not modular(gen, space, f).is_finite:
+    if math.isinf(modular(gen, space, f)):
         raise PreconditionError("threshold function must have finite modular")
 
     checked = 0
@@ -288,8 +283,8 @@ def delta2_check(
                 probes.add(x)
             x *= step
         b = gen.finite_bound(t)
-        if b.is_finite:
-            for cand in (b.value, b.value * 0.999, b.value * 0.5):
+        if math.isfinite(b):
+            for cand in (b, b * 0.999, b * 0.5):
                 if cand >= fi:
                     probes.add(cand)
         for uu in sorted(probes):
@@ -297,12 +292,12 @@ def delta2_check(
             rhs = gen.phi(t, uu) * K
             checked += 1
             # relative slack absorbs float rounding in exactly-homogeneous cases
-            bound = rhs + (1e-12 * rhs.value if rhs.is_finite else 0.0)
+            bound = rhs + 1e-12 * rhs
             if lhs > bound:
                 base = gen.phi(t, uu)
                 ratio = (
-                    lhs.value / base.value
-                    if lhs.is_finite and base.is_finite and base.value > 0
+                    lhs / base
+                    if math.isfinite(lhs) and math.isfinite(base) and base > 0
                     else None
                 )
                 return Delta2Verdict(False, Delta2Witness(t, uu, lhs, rhs, ratio), checked)

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from monorm import (
     CappedGenerator,
-    EXT_ZERO,
     ExpMinusOneGenerator,
     IndicatorGenerator,
     LinearGenerator,
@@ -30,27 +29,27 @@ T = 0.25
 
 def test_power_conjugate_closed_form():
     conj = conjugate(PowerGenerator(3.0))
-    assert conj.phi(T, 1.0).value == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert conj.phi(T, 1.0) == pytest.approx(2.0 / 3.0, abs=1e-15)
     # 1/p + 1/q = 1
     assert isinstance(conj, PowerGenerator) and conj.p == pytest.approx(1.5)
 
 
 def test_indicator_conjugate_is_linear():
     conj = conjugate(IndicatorGenerator(1.0))
-    assert conj.phi(T, 2.0).value == pytest.approx(2.0, abs=1e-15)
+    assert conj.phi(T, 2.0) == pytest.approx(2.0, abs=1e-15)
     assert isinstance(conj, LinearGenerator)
 
 
 def test_linear_conjugate_is_indicator():
     conj = conjugate(LinearGenerator(1.0))
-    assert conj.phi(T, 0.5) == EXT_ZERO
-    assert not conj.phi(T, 1.5).is_finite
+    assert conj.phi(T, 0.5) == 0.0
+    assert math.isinf(conj.phi(T, 1.5))
 
 
 def test_exp_conjugate_value():
     conj = conjugate(ExpMinusOneGenerator())
     # (1+v) log(1+v) - v at v = e - 1 equals 1
-    assert conj.phi(T, math.e - 1.0).value == pytest.approx(1.0, abs=1e-12)
+    assert conj.phi(T, math.e - 1.0) == pytest.approx(1.0, abs=1e-12)
     assert isinstance(conj, XLogXGenerator)
 
 
@@ -59,22 +58,22 @@ def test_varexp_conjugate_closed_form(two_atoms):
     conj = conjugate(gen)
     # phi(u) = u^2 at the first atom: conjugate is v^2/4
     t = two_atoms.coords[0]
-    assert conj.phi(t, 3.0).value == pytest.approx(2.25, abs=1e-12)
+    assert conj.phi(t, 3.0) == pytest.approx(2.25, abs=1e-12)
 
 
 def test_conjugate_of_zero_is_zero(two_atoms):
     for gen in all_families(two_atoms):
-        assert conjugate(gen).phi(T, 0.0) == EXT_ZERO
-        assert numeric_conjugate(gen).phi(T, 0.0) == EXT_ZERO
+        assert conjugate(gen).phi(T, 0.0) == 0.0
+        assert numeric_conjugate(gen).phi(T, 0.0) == 0.0
 
 
 def test_kink_conjugate_values(kink_linear):
     conj = conjugate(kink_linear)
     # v^2/2 below 1, v - 1/2 on the derivative jump [1, 2], infinite beyond
-    assert conj.phi(T, 0.6).value == pytest.approx(0.18, abs=1e-14)
-    assert conj.phi(T, 1.5).value == pytest.approx(1.0, abs=1e-14)
-    assert conj.phi(T, 2.0).value == pytest.approx(1.5, abs=1e-14)
-    assert not conj.phi(T, 2.0 + 1e-9).is_finite
+    assert conj.phi(T, 0.6) == pytest.approx(0.18, abs=1e-14)
+    assert conj.phi(T, 1.5) == pytest.approx(1.0, abs=1e-14)
+    assert conj.phi(T, 2.0) == pytest.approx(1.5, abs=1e-14)
+    assert math.isinf(conj.phi(T, 2.0 + 1e-9))
 
 
 BOUNDED_PLQ = PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(1.0, 0.5, 0.0)), bounded=True)
@@ -94,7 +93,7 @@ def test_analytic_vs_numeric_agreement(two_atoms):
         ana = conjugate(gen)
         num = numeric_conjugate(gen)
         b_star = ana.finite_bound(T)
-        top = min(b_star.value, 6.0) if b_star.is_finite else 6.0
+        top = min(b_star, 6.0)
         probes = [top * j / 12.0 for j in range(13)]
         if isinstance(gen, TruncatedGenerator):
             assert isinstance(ana, CappedGenerator)
@@ -102,9 +101,9 @@ def test_analytic_vs_numeric_agreement(two_atoms):
         for v in probes:
             a = ana.phi(T, v)
             n = num.phi(T, v)
-            assert a.is_finite == n.is_finite, (gen, v)
-            if a.is_finite:
-                assert abs(a.value - n.value) <= 1e-8 * max(1.0, a.value), (gen, v)
+            assert math.isfinite(a) == math.isfinite(n), (gen, v)
+            if math.isfinite(a):
+                assert abs(a - n) <= 1e-8 * max(1.0, a), (gen, v)
 
 
 def test_truncated_conjugate_is_a_generator(two_atoms):
@@ -117,14 +116,14 @@ def test_truncated_conjugate_structure(two_atoms):
     # one-sided derivatives
     for gen in _truncated_families(two_atoms):
         conj = conjugate(gen)
-        b = conj.finite_bound(T).value
-        assert b <= gen.n and conj.phi(T, b).is_finite, gen
-        assert not conj.phi(T, b * (1.0 + 1e-9)).is_finite, gen
+        b = conj.finite_bound(T)
+        assert b <= gen.n and math.isfinite(conj.phi(T, b)), gen
+        assert math.isinf(conj.phi(T, b * (1.0 + 1e-9))), gen
         a = conj.zero_bound(T)
-        assert conj.phi(T, a) == EXT_ZERO, gen
-        assert a == b or conj.phi(T, a + 1e-6).value > 0.0, gen
+        assert conj.phi(T, a) == 0.0, gen
+        assert a == b or conj.phi(T, a + 1e-6) > 0.0, gen
         jumps = conj.derivative_jumps(T)
-        assert jumps[-1][0] == b and not jumps[-1][2].is_finite, gen
+        assert jumps[-1][0] == b and math.isinf(jumps[-1][2]), gen
         for x, lo, hi in jumps:
             assert (conj.left_deriv(T, x), conj.right_deriv(T, x)) == (lo, hi), (gen, x)
         for m in (0.25, 1.0):
@@ -143,8 +142,8 @@ def test_truncated_conjugation_is_closed(two_atoms):
             for j in range(25):
                 u = 0.25 * j
                 a, b = gen.phi(t, u), back.phi(t, u)
-                assert a.is_finite and b.is_finite
-                assert abs(a.value - b.value) <= 1e-12 * max(1.0, a.value), (gen, t, u)
+                assert math.isfinite(a) and math.isfinite(b)
+                assert abs(a - b) <= 1e-12 * max(1.0, a), (gen, t, u)
 
 
 def test_biconjugate_examples():
@@ -154,9 +153,9 @@ def test_biconjugate_examples():
 
 
 def test_young_examples():
-    assert young_gap(PowerGenerator(2.0), T, 3.0, 3.0) == EXT_ZERO
-    assert young_gap(PowerGenerator(2.0), T, 3.0, 2.0).value == pytest.approx(0.5)
-    assert young_gap(IndicatorGenerator(1.0), T, 1.0, 7.0) == EXT_ZERO
+    assert young_gap(PowerGenerator(2.0), T, 3.0, 3.0) == 0.0
+    assert young_gap(PowerGenerator(2.0), T, 3.0, 2.0) == pytest.approx(0.5)
+    assert young_gap(IndicatorGenerator(1.0), T, 1.0, 7.0) == 0.0
 
 
 @given(
@@ -177,18 +176,15 @@ def test_young_equality_on_subdifferential(u, pick):
     from monorm import GridMeasureSpace
 
     gen = all_families(GridMeasureSpace.uniform(2))[pick]
-    b = gen.finite_bound(T)
-    if b.is_finite and u > b.value:
-        u = b.value
+    u = min(u, gen.finite_bound(T))
     lo, hi = subdiff(gen, T, u)
-    v = lo.value if lo.is_finite else None
-    if v is None:
+    if math.isinf(lo):
         return
-    gap = young_gap(gen, T, u, v)
-    assert gap.is_finite and gap.value <= 1e-9
-    if hi.is_finite:
-        gap = young_gap(gen, T, u, hi.value)
-        assert gap.is_finite and gap.value <= 1e-9
+    gap = young_gap(gen, T, u, lo)
+    assert math.isfinite(gap) and gap <= 1e-9
+    if math.isfinite(hi):
+        gap = young_gap(gen, T, u, hi)
+        assert math.isfinite(gap) and gap <= 1e-9
 
 
 @given(st.floats(min_value=0.05, max_value=5.0), st.integers(min_value=0, max_value=8))
@@ -197,15 +193,13 @@ def test_derivative_inversion(u, pick):
     from monorm import GridMeasureSpace
 
     gen = all_families(GridMeasureSpace.uniform(2))[pick]
-    b = gen.finite_bound(T)
-    if b.is_finite and u > b.value:
-        u = b.value
+    u = min(u, gen.finite_bound(T))
     lo, hi = subdiff(gen, T, u)
     conj = conjugate(gen)
     for v in {lo, hi}:
-        if not v.is_finite:
+        if math.isinf(v):
             continue
-        c_lo, c_hi = subdiff(conj, T, v.value)
-        lower = c_lo.value - 1e-8 if c_lo.is_finite else -math.inf
-        upper = c_hi.value + 1e-8 if c_hi.is_finite else math.inf
+        c_lo, c_hi = subdiff(conj, T, v)
+        lower = c_lo - 1e-8 if math.isfinite(c_lo) else -math.inf
+        upper = c_hi + 1e-8
         assert lower <= u <= upper, (gen, u, v)

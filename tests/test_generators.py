@@ -4,8 +4,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monorm import (
-    EXT_INF,
-    EXT_ZERO,
     ExpMinusOneGenerator,
     GridMeasureSpace,
     IndicatorGenerator,
@@ -15,8 +13,6 @@ from monorm import (
     PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
-    eval_phi,
-    fin,
     generator_bounds,
     modular,
     subdiff,
@@ -28,35 +24,35 @@ from conftest import all_families
 
 
 def test_eval_examples():
-    assert eval_phi(PowerGenerator(2.0), 0.0, 3.0) == fin(4.5)
-    assert eval_phi(IndicatorGenerator(1.0), 0.0, 1.0) == EXT_ZERO
-    assert eval_phi(IndicatorGenerator(1.0), 0.0, 1.5) == EXT_INF
+    assert PowerGenerator(2.0).phi(0.0, 3.0) == 4.5
+    assert IndicatorGenerator(1.0).phi(0.0, 1.0) == 0.0
+    assert IndicatorGenerator(1.0).phi(0.0, 1.5) == math.inf
     # series oracle for exp(1) - 2
     series = sum(1.0 / math.factorial(k) for k in range(2, 25))
-    got = eval_phi(ExpMinusOneGenerator(), 0.0, 1.0)
-    assert got.value == pytest.approx(series, abs=1e-12)
+    got = ExpMinusOneGenerator().phi(0.0, 1.0)
+    assert got == pytest.approx(series, abs=1e-12)
 
 
 def test_eval_rejects_negative():
     with pytest.raises(DomainError):
-        eval_phi(PowerGenerator(2.0), 0.0, -1.0)
+        PowerGenerator(2.0).phi(0.0, -1.0)
 
 
 def test_phi_at_infinity_is_infinite(two_atoms):
     for gen in all_families(two_atoms):
-        assert eval_phi(gen, two_atoms.coords[0], math.inf) == EXT_INF
+        assert gen.phi(two_atoms.coords[0], math.inf) == math.inf
 
 
 def test_subdiff_examples(kink_linear):
-    assert subdiff(PowerGenerator(2.0), 0.0, 3.0) == (fin(3.0), fin(3.0))
-    assert subdiff(kink_linear, 0.0, 1.0) == (fin(1.0), fin(2.0))
-    assert subdiff(IndicatorGenerator(1.0), 0.0, 1.0) == (EXT_ZERO, EXT_INF)
+    assert subdiff(PowerGenerator(2.0), 0.0, 3.0) == (3.0, 3.0)
+    assert subdiff(kink_linear, 0.0, 1.0) == (1.0, 2.0)
+    assert subdiff(IndicatorGenerator(1.0), 0.0, 1.0) == (0.0, math.inf)
 
 
 def test_subdiff_zero_convention(two_atoms):
     # left derivative at the origin is 0 even for linear growth
     lo, hi = subdiff(LinearGenerator(1.0), 0.0, 0.0)
-    assert lo == EXT_ZERO and hi == fin(1.0)
+    assert lo == 0.0 and hi == 1.0
 
 
 def test_subdiff_outside_domain_errors():
@@ -65,23 +61,23 @@ def test_subdiff_outside_domain_errors():
 
 
 def test_generator_bounds():
-    assert generator_bounds(PowerGenerator(2.0), 0.0) == (0.0, EXT_INF)
-    assert generator_bounds(IndicatorGenerator(1.0), 0.0) == (1.0, fin(1.0))
+    assert generator_bounds(PowerGenerator(2.0), 0.0) == (0.0, math.inf)
+    assert generator_bounds(IndicatorGenerator(1.0), 0.0) == (1.0, 1.0)
     # conjugate of linear growth: zero up to the slope, infinite beyond
     from monorm import conjugate
 
     conj = conjugate(LinearGenerator(1.0))
-    assert generator_bounds(conj, 0.0) == (1.0, fin(1.0))
+    assert generator_bounds(conj, 0.0) == (1.0, 1.0)
 
 
 def test_modular_examples(two_atoms):
     u = SimpleFunction.on(two_atoms, (1.0, 1.0))
-    assert modular(PowerGenerator(2.0), two_atoms, u) == fin(0.5)
+    assert modular(PowerGenerator(2.0), two_atoms, u) == 0.5
     zero = SimpleFunction.on(two_atoms, (0.0, 0.0))
     for gen in all_families(two_atoms):
-        assert modular(gen, two_atoms, zero) == EXT_ZERO
+        assert modular(gen, two_atoms, zero) == 0.0
     u12 = SimpleFunction.on(two_atoms, (1.0, 2.0))
-    assert modular(IndicatorGenerator(1.0), two_atoms, u12) == EXT_INF
+    assert modular(IndicatorGenerator(1.0), two_atoms, u12) == math.inf
 
 
 def test_modular_additive_over_disjoint_support_exact():
@@ -103,17 +99,17 @@ def test_modular_additive_over_disjoint_support_general():
         left = modular(gen, space, u.masked([0, 1]))
         right = modular(gen, space, u.masked([2, 3, 4]))
         got = left + right
-        assert got.is_finite == total.is_finite
-        if total.is_finite:
-            assert abs(got.value - total.value) <= 4e-16 * max(1.0, total.value)
+        assert math.isfinite(got) == math.isfinite(total)
+        if math.isfinite(total):
+            assert abs(got - total) <= 4e-16 * max(1.0, total)
 
 
 def test_truncate_examples():
     t5 = truncate(IndicatorGenerator(1.0), 5.0)
-    assert t5.phi(0.0, 0.7) == EXT_ZERO
-    assert t5.phi(0.0, 2.0) == fin(5.0)
+    assert t5.phi(0.0, 0.7) == 0.0
+    assert t5.phi(0.0, 2.0) == 5.0
     # piecewise integral: int_0^3 min(x, 1) dx = 0.5 + 2
-    assert truncate(PowerGenerator(2.0), 1.0).phi(0.0, 3.0) == fin(2.5)
+    assert truncate(PowerGenerator(2.0), 1.0).phi(0.0, 3.0) == 2.5
     # inactive truncation
     big = truncate(PowerGenerator(2.0), 100.0)
     for u in (0.0, 0.5, 2.0, 7.0):
@@ -131,11 +127,11 @@ def test_truncate_monotone_in_level(two_atoms):
                 assert a <= b <= c
 
 
-def test_truncated_is_finite_valued(two_atoms):
+def test_truncated_generators_are_finite_valued(two_atoms):
     for gen in all_families(two_atoms):
         g = truncate(gen, 3.0)
         assert g.finite_valued
-        assert g.phi(two_atoms.coords[0], 50.0).is_finite
+        assert math.isfinite(g.phi(two_atoms.coords[0], 50.0))
 
 
 @given(st.floats(min_value=0.01, max_value=8.0))
@@ -144,8 +140,7 @@ def test_difference_quotients_bracket_derivatives(u):
     space = GridMeasureSpace.uniform(2)
     t = space.coords[0]
     for gen in all_families(space):
-        b = gen.finite_bound(t)
-        if b.is_finite and u >= b.value:
+        if u >= gen.finite_bound(t):
             continue
         lo, hi = subdiff(gen, t, u)
         for h in (1e-3, 1e-4, 1e-5):
@@ -154,12 +149,12 @@ def test_difference_quotients_bracket_derivatives(u):
             f_m = gen.phi(t, u - h)
             f_0 = gen.phi(t, u)
             f_p = gen.phi(t, u + h)
-            if not (f_m.is_finite and f_0.is_finite and f_p.is_finite):
+            if not (math.isfinite(f_m) and math.isfinite(f_0) and math.isfinite(f_p)):
                 continue
-            if lo.is_finite:
-                assert (f_0.value - f_m.value) / h <= lo.value + 0.01
-            if hi.is_finite:
-                assert hi.value <= (f_p.value - f_0.value) / h + 0.01
+            if math.isfinite(lo):
+                assert (f_0 - f_m) / h <= lo + 0.01
+            if math.isfinite(hi):
+                assert hi <= (f_p - f_0) / h + 0.01
 
 
 def test_validate_builtins_clean(two_atoms):
@@ -173,18 +168,44 @@ class _SqrtGenerator(OrliczGenerator):
     family = "sqrt-test"
 
     def _phi(self, t, u):
-        return fin(math.sqrt(u))
+        return math.sqrt(u)
 
     def _left(self, t, u):
-        return fin(0.5 / math.sqrt(u))
+        return 0.5 / math.sqrt(u)
 
     def _right(self, t, u):
-        return fin(0.5 / math.sqrt(u)) if u > 0 else EXT_INF
+        return 0.5 / math.sqrt(u) if u > 0 else math.inf
 
 
 def test_validator_catches_concavity(two_atoms):
     violations = validate_generator(_SqrtGenerator(), two_atoms)
     assert any(v.check == "midpoint_convexity" for v in violations)
+
+
+class _BrokenPower(OrliczGenerator):
+    """u**2 / 2, except that phi (broken = "phi") or both one-sided
+    derivatives (broken = "deriv") read `out` beyond u = 1."""
+
+    family = "broken-test"
+
+    def __init__(self, broken: str, out: float = 0.0):
+        self.broken, self.out = broken, out
+
+    def _phi(self, t, u):
+        return self.out if self.broken == "phi" and u > 1.0 else 0.5 * u * u
+
+    def _left(self, t, u):
+        return self.out if self.broken == "deriv" and u > 1.0 else u
+
+    _right = _left
+
+
+@pytest.mark.parametrize("broken", ["phi", "deriv"])
+@pytest.mark.parametrize("out", [math.nan, -1.0])
+def test_validator_rejects_nan_and_negative(two_atoms, broken, out):
+    assert validate_generator(_BrokenPower("none"), two_atoms) == []
+    violations = validate_generator(_BrokenPower(broken, out), two_atoms)
+    assert any(v.check == "nan_or_negative" for v in violations), violations
 
 
 def test_plq_validation():
@@ -213,8 +234,8 @@ def test_plq_zero_bound():
         (Piece(0.5, 0.0, 0.0), Piece(None, 0.0, 1.0))
     )
     assert flat_then_quad.zero_bound(0.0) == 0.5
-    assert flat_then_quad.phi(0.0, 0.5) == EXT_ZERO
-    assert flat_then_quad.phi(0.0, 0.6).value == pytest.approx(0.005, abs=1e-12)
+    assert flat_then_quad.phi(0.0, 0.5) == 0.0
+    assert flat_then_quad.phi(0.0, 0.6) == pytest.approx(0.005, abs=1e-12)
 
 
 def test_monotone_and_convex_on_grid(two_atoms):
@@ -228,5 +249,5 @@ def test_monotone_and_convex_on_grid(two_atoms):
             for i in range(len(us) - 2):
                 f1, f2 = vals[i], vals[i + 2]
                 fm = gen.phi(t, 0.5 * (us[i] + us[i + 2]))
-                if f1.is_finite and f2.is_finite and fm.is_finite:
-                    assert 0.5 * (f1.value + f2.value) - fm.value >= -1e-12
+                if math.isfinite(f1) and math.isfinite(f2) and math.isfinite(fm):
+                    assert 0.5 * (f1 + f2) - fm >= -1e-12

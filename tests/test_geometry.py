@@ -5,7 +5,6 @@ import pytest
 
 from monorm import (
     DualDensity,
-    EXT_INF,
     ExpMinusOneGenerator,
     IndicatorGenerator,
     KSetNonEmpty,
@@ -193,11 +192,11 @@ def test_space_smoothness_families(two_atoms, kink_quadratic):
 def test_gap_function_examples(two_atoms, kink_linear):
     prof = smoothness_gap_function(kink_linear, two_atoms, 0.5)
     assert all(prof.finite_mask)
-    assert all(loc.value == pytest.approx(1.0, abs=1e-9) for loc in prof.locations)
+    assert all(loc == pytest.approx(1.0, abs=1e-9) for loc in prof.locations)
 
     prof = smoothness_gap_function(kink_linear, two_atoms, 1.5)
     assert not any(prof.finite_mask)
-    assert all(loc == EXT_INF for loc in prof.locations)
+    assert all(loc == math.inf for loc in prof.locations)
 
     prof = smoothness_gap_function(PowerGenerator(2.0), two_atoms, 0.01)
     assert not any(prof.finite_mask)
@@ -207,17 +206,17 @@ def test_gap_function_postcondition(two_atoms, kink_linear):
     for delta in (0.25, 0.5, 1.0):
         prof = smoothness_gap_function(kink_linear, two_atoms, delta)
         for t, loc in zip(two_atoms.coords, prof.locations):
-            if not loc.is_finite:
+            if math.isinf(loc):
                 continue
-            lo = kink_linear.left_deriv(t, loc.value)
-            hi = kink_linear.right_deriv(t, loc.value)
-            assert hi.value - lo.value >= delta - 1e-9
+            lo = kink_linear.left_deriv(t, loc)
+            hi = kink_linear.right_deriv(t, loc)
+            assert hi - lo >= delta - 1e-9
             # probes below the location stay below the gap threshold
             for j in range(1, 11):
-                x = loc.value * j / 11.0
+                x = loc * j / 11.0
                 l2 = kink_linear.left_deriv(t, x)
                 h2 = kink_linear.right_deriv(t, x)
-                assert h2.value - l2.value < delta
+                assert h2 - l2 < delta
 
 
 def test_gap_function_generic_scan(two_atoms, kink_linear):
@@ -229,7 +228,7 @@ def test_gap_function_generic_scan(two_atoms, kink_linear):
     hidden = Hidden(kink_linear.pieces, kink_linear.bounded)
     prof = smoothness_gap_function(hidden, two_atoms, 0.5, horizon=10.0)
     assert all(prof.finite_mask)
-    assert all(loc.value == pytest.approx(1.0, abs=1e-6) for loc in prof.locations)
+    assert all(loc == pytest.approx(1.0, abs=1e-6) for loc in prof.locations)
 
 
 def test_survey_matches_classifier(two_atoms, kink_linear, plateau):
