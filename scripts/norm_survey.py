@@ -3,7 +3,9 @@
 
 For each draw, prints the Luxemburg and Orlicz norms, the ratio (always in
 [1, 2]), and where the Amemiya minimizer sits.  Useful for eyeballing how
-the ratio moves across families.
+the ratio moves across families.  Instances come from the selftest's
+builders with criterion 1's distribution (2-8 atoms, seven families with
+random parameters, values in [-2.5, 2.5]).
 """
 
 import argparse
@@ -14,12 +16,7 @@ from monorm import (
     luxemburg_norm,
     orlicz_amemiya_norm,
 )
-
-import sys
-from pathlib import Path
-
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
-from conftest import random_instance  # noqa: E402
+from monorm.selfcheck import random_function, random_generator, random_space
 
 
 def main() -> None:
@@ -32,7 +29,9 @@ def main() -> None:
     print(f"{'family':<12} {'atoms':>5} {'luxemburg':>12} {'orlicz':>12} "
           f"{'ratio':>8}  k-interval")
     for _ in range(args.count):
-        gen, space, u = random_instance(rng)
+        space = random_space(rng, rng.randint(2, 8))
+        gen = random_generator(rng, space)
+        u = random_function(rng, space)
         lux = luxemburg_norm(gen, space, u)
         orl, ks = orlicz_amemiya_norm(gen, space, u)
         ratio = orl / lux if lux > 0 else float("nan")

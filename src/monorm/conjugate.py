@@ -166,17 +166,10 @@ def numeric_conjugate(gen: OrliczGenerator) -> NumericConjugate:
     return NumericConjugate(gen)
 
 
-def young_gap(
-    gen: OrliczGenerator,
-    t: float,
-    u: float,
-    v: float,
-    conj: OrliczGenerator | None = None,
-) -> float:
+def young_gap(gen: OrliczGenerator, t: float, u: float, v: float) -> float:
     """phi(t,u) + phi*(t,v) - u*v, always >= 0; zero exactly when v lies in
     the subdifferential of phi(t, .) at u."""
-    if conj is None:
-        conj = conjugate(gen)
+    conj = conjugate(gen)
     a = gen.phi(t, u)
     b = conj.phi(t, v)
     if math.isinf(a) or math.isinf(b):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .conjugate import conjugate
 from .errors import OracleScaleError, PreconditionError
-from .generators import OrliczGenerator, modular, truncate
+from .generators import OrliczGenerator, modular, truncate, weighted_sum
 from .norms import luxemburg_norm, orlicz_amemiya_norm
 from .solvers import golden_max, monotone_boundary, monotone_cap
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
@@ -137,15 +137,14 @@ def orlicz_norm_bruteforce(
         others = [r for r in range(len(supp)) if r != j and mags[r] > 0.0]
         if not others or budget <= 0.0:
             return 0.0
+        w_others = [weights[supp[r]] for r in others]
+        points = [(coords[supp[r]], mags[r]) for r in others]
 
         def cost(s: float) -> float:
-            total = 0.0
-            for r in others:
-                c = conj.phi(coords[supp[r]], s * mags[r])
-                if math.isinf(c):
-                    return math.inf
-                total += weights[supp[r]] * c
-            return total
+            values = []
+            for t, m in points:
+                values.append(conj.phi(t, s * m))
+            return weighted_sum(w_others, values)
 
         return monotone_cap(cost, budget, 0.0, math.inf)
 
@@ -285,10 +284,7 @@ def holder_equality_pair(
 
 
 def dual_functional_norm(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    d: DualDensity,
-    conj: OrliczGenerator | None = None,
+    gen: OrliczGenerator, space: GridMeasureSpace, d: DualDensity
 ) -> float:
     """Norm of the functional with density v and singular mass s:
 
@@ -297,8 +293,7 @@ def dual_functional_norm(
     With s = 0 this is the Luxemburg norm of v under the conjugate."""
     if d.s_norm < 0:
         raise PreconditionError("singular mass must be >= 0")
-    if conj is None:
-        conj = conjugate(gen)
+    conj = conjugate(gen)
     if d.v.is_zero() and d.s_norm == 0.0:
         return 0.0
 

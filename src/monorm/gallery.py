@@ -17,10 +17,9 @@ exponents of a few thousand (resolutions around 2^12).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .generators import VariableExponentGenerator, modular
+from .generators import VariableExponentGenerator, modular, weighted_sum
 from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
@@ -65,17 +64,13 @@ def _blocks(space: GridMeasureSpace) -> list[list[int]]:
 
 def _block_level(gen, space, idx) -> float:
     """The constant c with sum_{i in block} w_i phi(t_i, c) = 1."""
+    coords = [space.coords[i] for i in idx]
+    weights = [space.weights[i] for i in idx]
 
-    def block_modular(c: float) -> float:
-        total = 0.0
-        for i in idx:
-            e = gen.phi(space.coords[i], c)
-            if math.isinf(e):
-                return math.inf
-            total += space.weights[i] * e
-        return total
+    def reached(c: float) -> bool:
+        return weighted_sum(weights, [gen.phi(t, c) for t in coords]) >= 1.0
 
-    lo, hi = monotone_boundary(lambda c: block_modular(c) >= 1.0, rel_tol=0.0)
+    lo, hi = monotone_boundary(reached, rel_tol=0.0)
     return 0.5 * (lo + hi)
 
 

@@ -21,11 +21,12 @@ from dataclasses import dataclass, field
 
 from .conjugate import conjugate
 from .errors import BracketError, DomainError
-from .generators import OrliczGenerator, modular
+from .generators import OrliczGenerator, modular, weighted_sum
 from .norms import (
     K_WIDEN_REL,
     KSetDegenerate,
     KSetNonEmpty,
+    _degenerate_mass,
     delta2_check,
     k_interval,
 )
@@ -136,7 +137,8 @@ def _segments(
 ):
     """Per atom: (lo, hi, phi*(lo), phi*(hi)) of the subdifferential at
     k|u_i|, with the argument widened by the bisection tolerance so that
-    derivative jumps sitting exactly at the boundary are seen whole."""
+    derivative jumps sitting exactly at the boundary are seen whole.  An atom
+    off the support gets lo = 0 and hi = phi'_+(t, 0)."""
     segs = []
     for (t, w), ui in zip(space.items(), u.values):
         x = k * abs(ui)
@@ -162,15 +164,8 @@ def _select_density(
 
     Off-support atoms stay at zero (the sign condition pins them).  Returns
     the signed values and the final modular."""
-    mags = [seg[2] for seg in segs]  # start at phi'_-
-    for i, ui in enumerate(u.values):
-        if ui == 0.0:
-            mags[i] = 0.0
-    total = 0.0
-    for i, (t, w, lo, hi, c_lo, c_hi) in enumerate(segs):
-        if u.values[i] == 0.0:
-            continue
-        total += w * c_lo
+    mags = [seg[2] for seg in segs]  # start at phi'_-, which is 0 off the support
+    total = weighted_sum(space.weights, [seg[4] for seg in segs])
     for i in order:
         t, w, lo, hi, c_lo, c_hi = segs[i]
         if u.values[i] == 0.0:
@@ -213,7 +208,7 @@ def construct_support_functional(
     if u.is_zero():
         raise DomainError("support functionals are defined for u != 0")
     conj = conjugate(gen)
-    ks = k_interval(gen, space, u, conj=conj)
+    ks = k_interval(gen, space, u)
     if isinstance(ks, KSetDegenerate):
         vals = []
         for (t, _), ui in zip(space.items(), u.values):
@@ -226,7 +221,7 @@ def construct_support_functional(
         return SupportFunctional(
             density=v,
             s_norm=0.0,
-            norm_value=dual_functional_norm(gen, space, d, conj=conj),
+            norm_value=dual_functional_norm(gen, space, d),
             achieved=pairing(u, v),
             limit_construct=False,
         )
@@ -242,7 +237,7 @@ def construct_support_functional(
     return SupportFunctional(
         density=v,
         s_norm=s_norm,
-        norm_value=dual_functional_norm(gen, space, d, conj=conj),
+        norm_value=dual_functional_norm(gen, space, d),
         achieved=achieved,
         limit_construct=s_norm > 0.0,
     )
@@ -278,7 +273,7 @@ def verify_support_functional(
     if u.is_zero():
         raise DomainError("support functionals are defined for u != 0")
     conj = conjugate(gen)
-    ks = k_interval(gen, space, u, conj=conj)
+    ks = k_interval(gen, space, u)
     m = modular(conj, space, f.v)
     clauses: list[ClauseCheck] = []
 
@@ -371,20 +366,6 @@ def verify_support_functional(
 # ---------------------------------------------------------------------------
 
 
-def _one_sided_modular(
-    conj: OrliczGenerator, segs, u: SimpleFunction, side: str
-) -> float:
-    total = 0.0
-    for (t, w, lo, hi, c_lo, c_hi), ui in zip(segs, u.values):
-        val = c_lo if side == "lo" else c_hi
-        if ui == 0.0:
-            val = conj.phi(t, 0.0 if side == "lo" else hi)
-        if math.isinf(val):
-            return math.inf
-        total += w * val
-    return total
-
-
 def classify_smooth_point(
     gen: OrliczGenerator,
     space: GridMeasureSpace,
@@ -404,14 +385,14 @@ def classify_smooth_point(
     if u.is_zero():
         raise DomainError("smoothness is classified for u != 0")
     conj = conjugate(gen)
-    ks = k_interval(gen, space, u, conj=conj)
+    ks = k_interval(gen, space, u)
     conditions: dict[str, ClauseCheck] = {}
 
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
         segs = _segments(gen, conj, space, u, ks.k_star)
-        i_lo = _one_sided_modular(conj, segs, u, "lo")
-        i_hi = _one_sided_modular(conj, segs, u, "hi")
+        i_lo = weighted_sum(space.weights, [seg[4] for seg in segs])
+        i_hi = weighted_sum(space.weights, [seg[5] for seg in segs])
         cond_i = abs(i_lo - 1.0) <= eps_eq
         conditions["left_modular_at_one"] = ClauseCheck(
             "left_modular_at_one", i_lo, 1.0, cond_i
@@ -457,16 +438,12 @@ def classify_smooth_point(
 
     branch = "k_empty"
     supp = set(u.support())
-    mass_supp = 0.0
-    mass_all = 0.0
-    off_a_max = 0.0
-    for i, (t, w) in enumerate(space.items()):
-        contrib = w * conj.phi(t, conj.finite_bound(t))
-        mass_all += contrib
-        if i in supp:
-            mass_supp += contrib
-        else:
-            off_a_max = max(off_a_max, conj.zero_bound(t))
+    mass_supp = _degenerate_mass(conj, space, u)
+    mass_all = _degenerate_mass(conj, space, SimpleFunction.constant(space, 1.0))
+    off_a_max = max(
+        (conj.zero_bound(t) for i, t in enumerate(space.coords) if i not in supp),
+        default=0.0,
+    )
     off_mass = sum(w for i, (_, w) in enumerate(space.items()) if i not in supp)
     cond_i = abs(mass_supp - 1.0) <= eps_eq and off_a_max <= eps_eq
     cond_ii = mass_all < 1.0 - eps_eq and off_mass == 0.0
@@ -724,7 +701,7 @@ def support_density_survey(
     if u.is_zero():
         raise DomainError("survey is defined for u != 0")
     conj = conjugate(gen)
-    ks = k_interval(gen, space, u, conj=conj)
+    ks = k_interval(gen, space, u)
     supp = [i for i, ui in enumerate(u.values) if ui != 0.0]
 
     if isinstance(ks, KSetNonEmpty):
@@ -764,13 +741,8 @@ def support_density_survey(
         passing = _enumerate_level(axes, costs, 1.0, band)
     else:
         # degenerate: support pinned to b*, off-support free below the budget
-        pinned = []
-        base_cost = 0.0
-        for i in supp:
-            t, w = space.coords[i], space.weights[i]
-            b = conj.finite_bound(t)
-            pinned.append(b)
-            base_cost += w * conj.phi(t, b)
+        pinned = [conj.finite_bound(space.coords[i]) for i in supp]
+        base_cost = _degenerate_mass(conj, space, u)
         off = [i for i in range(len(space)) if i not in supp]
         axes = []
         costs = []

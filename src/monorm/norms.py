@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .conjugate import conjugate
 from .errors import DomainError, PreconditionError
-from .generators import OrliczGenerator, modular
+from .generators import OrliczGenerator, modular, weighted_sum
 from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
@@ -100,29 +100,23 @@ def derivative_modular(
 ) -> float:
     """I*(phi'_+(., k|u|)): the conjugate modular of the right derivative,
     treating arguments at or beyond b(t) as infinite."""
-    total = 0.0
-    for (t, w), ui in zip(space.items(), u.values):
-        d = gen.right_deriv(t, k * abs(ui))
-        val = conj.phi(t, d)
-        if math.isinf(val):
-            return math.inf
-        total += w * val
-    return total
+    values = []
+    for t, ui in zip(space.coords, u.values):
+        values.append(conj.phi(t, gen.right_deriv(t, k * abs(ui))))
+    return weighted_sum(space.weights, values)
 
 
 def _degenerate_mass(
     conj: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
 ) -> float:
     """I*(b* chi_supp u)."""
-    total = 0.0
-    for (t, w), ui in zip(space.items(), u.values):
-        if ui == 0.0:
-            continue
-        val = conj.phi(t, conj.finite_bound(t))
-        if math.isinf(val):
-            return math.inf
-        total += w * val
-    return total
+    return weighted_sum(
+        space.weights,
+        [
+            conj.phi(t, conj.finite_bound(t)) if ui != 0.0 else 0.0
+            for t, ui in zip(space.coords, u.values)
+        ],
+    )
 
 
 def _l1_against_bound(
@@ -139,12 +133,7 @@ def _l1_against_bound(
     return total
 
 
-def k_interval(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    u: SimpleFunction,
-    conj: OrliczGenerator | None = None,
-) -> KSet:
+def k_interval(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> KSet:
     """The Amemiya minimizer set.
 
     Tests the degenerate branch I*(b* chi_supp) <= 1 first (otherwise the
@@ -155,8 +144,7 @@ def k_interval(
     """
     if u.is_zero():
         raise DomainError("K(u) is undefined for u = 0")
-    if conj is None:
-        conj = conjugate(gen)
+    conj = conjugate(gen)
     if _degenerate_mass(conj, space, u) <= 1.0:
         return KSetDegenerate(_l1_against_bound(conj, space, u))
 
@@ -185,10 +173,7 @@ def _amemiya_objective(
 
 
 def orlicz_amemiya_norm(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    u: SimpleFunction,
-    conj: OrliczGenerator | None = None,
+    gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
 ) -> tuple[float, KSet]:
     """The Orlicz norm via the Amemiya expression, together with K(u).
 
@@ -197,7 +182,7 @@ def orlicz_amemiya_norm(
     across the true minimizer)."""
     if u.is_zero():
         return 0.0, KSetDegenerate(0.0)
-    ks = k_interval(gen, space, u, conj=conj)
+    ks = k_interval(gen, space, u)
     if isinstance(ks, KSetDegenerate):
         return ks.l1_value, ks
     best = math.inf

@@ -2,7 +2,8 @@
 
 Each criterion is a function returning a CheckResult; tolerances are pinned
 here, not configurable.  Randomness is seeded so every run sees the same
-instances.
+instances.  The random-instance builders (random_space, random_generator,
+random_function) are shared with the tests and scripts.
 """
 
 from __future__ import annotations
@@ -51,7 +52,14 @@ from .norms import (
 )
 from .space import GridMeasureSpace, SimpleFunction
 
-__all__ = ["CheckResult", "CRITERIA", "run_all"]
+__all__ = [
+    "CheckResult",
+    "CRITERIA",
+    "run_all",
+    "random_space",
+    "random_generator",
+    "random_function",
+]
 
 SEED = 20240811
 
@@ -84,7 +92,9 @@ def _two_atom_space() -> GridMeasureSpace:
     return GridMeasureSpace.uniform(2)
 
 
-def _random_space(rng: random.Random, n_atoms: int) -> GridMeasureSpace:
+def random_space(rng: random.Random, n_atoms: int) -> GridMeasureSpace:
+    """Sorted coordinates in [0, 1] (nudged 1e-4 apart when closer than
+    1e-6) and weights in [0.2, 1.2]."""
     coords = sorted(rng.uniform(0.0, 1.0) for _ in range(n_atoms))
     for i in range(1, n_atoms):
         if coords[i] - coords[i - 1] < 1e-6:
@@ -93,7 +103,8 @@ def _random_space(rng: random.Random, n_atoms: int) -> GridMeasureSpace:
     return GridMeasureSpace(tuple(coords), weights)
 
 
-def _random_generator(rng: random.Random, space: GridMeasureSpace) -> OrliczGenerator:
+def random_generator(rng: random.Random, space: GridMeasureSpace) -> OrliczGenerator:
+    """One of the seven built-in families with random parameters."""
     pick = rng.randrange(7)
     if pick == 0:
         return PowerGenerator(rng.uniform(1.3, 3.5))
@@ -116,7 +127,8 @@ def _random_generator(rng: random.Random, space: GridMeasureSpace) -> OrliczGene
     )
 
 
-def _random_function(rng: random.Random, space: GridMeasureSpace) -> SimpleFunction:
+def random_function(rng: random.Random, space: GridMeasureSpace) -> SimpleFunction:
+    """Values in [-2.5, 2.5], never all below 1e-3 in magnitude."""
     values = [rng.uniform(-2.5, 2.5) for _ in space.coords]
     if all(abs(v) < 1e-3 for v in values):
         values[0] = 1.0
@@ -151,9 +163,9 @@ def c01_norm_equivalence() -> CheckResult:
     rng = random.Random(SEED)
     worst = 0.0
     for _ in range(1000):
-        space = _random_space(rng, rng.randint(2, 8))
-        gen = _random_generator(rng, space)
-        u = _random_function(rng, space)
+        space = random_space(rng, rng.randint(2, 8))
+        gen = random_generator(rng, space)
+        u = random_function(rng, space)
         lux = luxemburg_norm(gen, space, u)
         orl, _ = orlicz_amemiya_norm(gen, space, u)
         worst = max(worst, lux - orl, orl - 2.0 * lux)
@@ -191,7 +203,7 @@ def c03_power_closed_forms() -> CheckResult:
     for p in (1.5, 2.0, 3.0):
         gen = PowerGenerator(p)
         for _ in range(100):
-            space = _random_space(rng, rng.randint(2, 6))
+            space = random_space(rng, rng.randint(2, 6))
             u = SimpleFunction.on(
                 space, [rng.uniform(-1.5, 1.5) for _ in space.coords]
             )
@@ -290,9 +302,9 @@ def c05_k_interval_attainment() -> CheckResult:
     lin_exact = True
     rng = random.Random(SEED + 5)
     for _ in range(20):
-        space = _random_space(rng, rng.randint(2, 5))
+        space = random_space(rng, rng.randint(2, 5))
         slope = rng.uniform(0.5, 2.0)
-        u = _random_function(rng, space)
+        u = random_function(rng, space)
         value, ks = orlicz_amemiya_norm(LinearGenerator(slope), space, u)
         expected = sum(
             w * abs(ui) * slope for (_, w), ui in zip(space.items(), u.values)
@@ -321,10 +333,10 @@ def c06_duality_expressions() -> CheckResult:
     rng = random.Random(SEED + 6)
     min_gap = math.inf
     for _ in range(1000):
-        space = _random_space(rng, rng.randint(2, 5))
-        gen = _random_generator(rng, space)
-        u = _random_function(rng, space)
-        v = _random_function(rng, space)
+        space = random_space(rng, rng.randint(2, 5))
+        gen = random_generator(rng, space)
+        u = random_function(rng, space)
+        v = random_function(rng, space)
         min_gap = min(min_gap, holder_gap(gen, space, u, v))
 
     worst_eq = 0.0
@@ -368,7 +380,7 @@ def c07_support_functionals() -> CheckResult:
         (_plateau(), plat_sp, SimpleFunction.on(plat_sp, (1.0, 1.0))),
     ]
     for _ in range(40):
-        space = _random_space(rng, rng.randint(2, 6))
+        space = random_space(rng, rng.randint(2, 6))
         gen = rng.choice(
             [
                 PowerGenerator(rng.uniform(1.3, 3.0)),
@@ -377,7 +389,7 @@ def c07_support_functionals() -> CheckResult:
                 _kink_quadratic(),
             ]
         )
-        cases.append((gen, space, _random_function(rng, space)))
+        cases.append((gen, space, random_function(rng, space)))
     worst_attain = 0.0
     worst_norm = 0.0
     checked = 0

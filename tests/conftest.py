@@ -15,6 +15,7 @@ from monorm import (
     VariableExponentGenerator,
     XLogXGenerator,
 )
+from monorm.selfcheck import random_space
 
 settings.register_profile(
     "suite",
@@ -70,16 +71,9 @@ def all_families(space: GridMeasureSpace):
 
 
 def random_instance(rng: random.Random, max_atoms: int = 6):
-    n = rng.randint(2, max_atoms)
-    coords = sorted(rng.uniform(0.0, 1.0) for _ in range(n))
-    for i in range(1, n):
-        if coords[i] - coords[i - 1] < 1e-6:
-            coords[i] = coords[i - 1] + 1e-4
-    space = GridMeasureSpace(
-        tuple(coords), tuple(rng.uniform(0.2, 1.2) for _ in range(n))
-    )
+    space = random_space(rng, rng.randint(2, max_atoms))
     gen = rng.choice(all_families(space))
-    values = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+    values = [rng.uniform(-2.0, 2.0) for _ in range(len(space))]
     if all(abs(v) < 1e-3 for v in values):
         values[0] = 1.0
     return gen, space, SimpleFunction.on(space, values)

@@ -5,19 +5,24 @@ otherwise leak into a result."""
 
 import math
 
+import pytest
+
 from monorm import (
     DualDensity,
     ExpMinusOneGenerator,
+    GridMeasureSpace,
     IndicatorGenerator,
     LinearGenerator,
     PowerGenerator,
     SimpleFunction,
     conjugate,
     k_interval,
+    luxemburg_norm,
     modular,
     truncate,
     verify_support_functional,
 )
+from monorm.generators import weighted_sum
 from monorm.geometry import _gap
 
 
@@ -68,3 +73,12 @@ def test_overflow_saturates_to_inf(two_atoms):
     assert ExpMinusOneGenerator().right_deriv(t, 1e3) == math.inf
     big = SimpleFunction.on(two_atoms, (1e200, 1.0))
     assert modular(PowerGenerator(3.0), two_atoms, big) == math.inf
+
+
+def test_finite_terms_summing_past_the_float_range_give_inf():
+    assert weighted_sum([2.0, 2.0], [1e308, 1e308]) == math.inf
+    # the first Luxemburg probe, lambda = 1, has such a modular
+    space = GridMeasureSpace((0.25, 0.75), (2.0, 2.0))
+    u = SimpleFunction.on(space, (1.3e154, 1.3e154))
+    norm = luxemburg_norm(PowerGenerator(2.0), space, u)
+    assert norm == pytest.approx(1.3e154 * math.sqrt(2.0), rel=1e-9)

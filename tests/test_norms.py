@@ -41,6 +41,18 @@ def test_luxemburg_examples(two_atoms):
     assert luxemburg_norm(PowerGenerator(2.0), two_atoms, zero) == 0.0
 
 
+def test_derivative_modular_is_order_independent():
+    # terms 5e15, 0.5, 0.5: adding left to right drops both halves
+    gen = PowerGenerator(2.0)
+    conj = conjugate(gen)
+    space = GridMeasureSpace((0.2, 0.5, 0.8), (1.0, 1.0, 1.0))
+    first = SimpleFunction.on(space, (1e8, 1.0, 1.0))
+    last = SimpleFunction.on(space, (1.0, 1.0, 1e8))
+    a = norms.derivative_modular(gen, conj, space, first, 1.0)
+    b = norms.derivative_modular(gen, conj, space, last, 1.0)
+    assert a == b == 5e15 + 1.0
+
+
 def test_k_interval_examples(two_atoms):
     u = SimpleFunction.on(two_atoms, (1.0, 1.0))
     ks = k_interval(PowerGenerator(2.0), two_atoms, u)
