@@ -26,7 +26,7 @@ from .generators import (
     truncate,
     validate_generator,
 )
-from .conjugate import biconjugate_residual, conjugate, numeric_conjugate, young_gap
+from .conjugate import NumericConjugate, biconjugate_residual, conjugate, young_gap
 from .norms import (
     KSet,
     KSetDegenerate,

@@ -41,7 +41,8 @@ __all__ = ["run", "main"]
 
 def _eps_eq() -> float:
     """EPS_EQ scaled by the MO_TOL_OVERRIDE factor, which must be a finite
-    number > 0."""
+    number > 0; read once per invocation, so every subcommand rejects a bad
+    value."""
     raw = os.environ.get("MO_TOL_OVERRIDE", "1.0")
     try:
         scale = float(raw)
@@ -151,10 +152,9 @@ def _cmd_oracle(args) -> dict:
 def _cmd_support(args) -> dict:
     inst = parse_instance(args.instance)
     u = _function(inst, args.function)
-    eps = _eps_eq()
-    sf = construct_support_functional(inst.phi, inst.space, u, eps_eq=eps)
+    sf = construct_support_functional(inst.phi, inst.space, u, eps_eq=args.eps_eq)
     report = verify_support_functional(
-        inst.phi, inst.space, u, DualDensity(sf.density, sf.s_norm), eps_eq=eps
+        inst.phi, inst.space, u, DualDensity(sf.density, sf.s_norm), eps_eq=args.eps_eq
     )
     return {
         "digest": inst.digest,
@@ -181,7 +181,7 @@ def _cmd_support(args) -> dict:
 def _cmd_smooth_point(args) -> dict:
     inst = parse_instance(args.instance)
     u = _function(inst, args.function)
-    rep = classify_smooth_point(inst.phi, inst.space, u, eps_eq=_eps_eq())
+    rep = classify_smooth_point(inst.phi, inst.space, u, eps_eq=args.eps_eq)
     return {
         "digest": inst.digest,
         "function": args.function,
@@ -200,7 +200,7 @@ def _cmd_smooth_point(args) -> dict:
 
 def _cmd_smooth_space(args) -> dict:
     inst = parse_instance(args.instance)
-    rep = check_space_smoothness(inst.phi, inst.space, eps_eq=_eps_eq())
+    rep = check_space_smoothness(inst.phi, inst.space)
     return {
         "digest": inst.digest,
         "smooth": rep.smooth,
@@ -356,6 +356,7 @@ def run(argv) -> int:
         return int(exc.code or 0)
     started = time.perf_counter()
     try:
+        args.eps_eq = _eps_eq()
         report = args.fn(args)
     except BracketError as exc:
         print(f"numerical bracket failure: {exc}", file=sys.stderr)

@@ -1,10 +1,12 @@
 """Legendre-Fenchel conjugation and Young-inequality diagnostics.
 
-Closed-form families carry their own conjugates, and so does truncate(phi, n)
-when phi does (phi* capped at n); anything else goes through
-NumericConjugate, which maximizes the concave map u -> u*v - phi(t,u) by
-bracket expansion plus golden-section search, evaluating the domain boundary
-explicitly because the supremum may be attained only there.
+Every family carries its conjugate in closed form, and so does
+truncate(phi, n) (phi* capped at n); conjugate() returns it.
+NumericConjugate is the reference that the closed forms are checked against
+(biconjugate_residual and the tests): it maximizes the concave map
+u -> u*v - phi(t,u) by bracket expansion plus golden-section search,
+evaluating the domain boundary explicitly because the supremum may be
+attained only there.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .solvers import golden_max, monotone_boundary, monotone_cap
 
 __all__ = [
     "conjugate",
-    "numeric_conjugate",
     "NumericConjugate",
     "young_gap",
     "biconjugate_residual",
@@ -38,8 +39,6 @@ class NumericConjugate(OrliczGenerator):
 
     family = "conjugate"
     finite_valued = False
-    differentiable = False
-    numeric = True
 
     def __init__(self, base: OrliczGenerator):
         self.base = base
@@ -146,24 +145,16 @@ class NumericConjugate(OrliczGenerator):
         return math.inf
 
 
-#: the cache saves object construction and keeps one NumericConjugate (with
-#: its bound cache) per generator within a computation; the size bound keeps
-#: a long run over fresh generators from growing memory
+#: the cache saves object construction; the size bound keeps a long run over
+#: fresh generators from growing memory
 CONJUGATE_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=CONJUGATE_CACHE_SIZE)
 def conjugate(gen: OrliczGenerator) -> OrliczGenerator:
-    """The complementary generator: analytic when the family knows it
-    (truncated generators included, whenever their base does), otherwise a
-    NumericConjugate wrapper."""
-    analytic = gen.analytic_conjugate()
-    return analytic if analytic is not None else NumericConjugate(gen)
-
-
-def numeric_conjugate(gen: OrliczGenerator) -> NumericConjugate:
-    """Always the numeric wrapper, for cross-checking analytic conjugates."""
-    return NumericConjugate(gen)
+    """The complementary generator, in closed form; NotImplementedError for
+    a generator without one."""
+    return gen.analytic_conjugate()
 
 
 def young_gap(gen: OrliczGenerator, t: float, u: float, v: float) -> float:
@@ -176,10 +167,7 @@ def young_gap(gen: OrliczGenerator, t: float, u: float, v: float) -> float:
         return math.inf
     gap = a + b - u * v
     if gap < 0.0:
-        tol = (1e-8 if getattr(conj, "numeric", False) else 1e-12) * max(
-            1.0, a + b, u * v
-        )
-        if gap < -tol:
+        if gap < -1e-12 * max(1.0, a + b, u * v):
             raise AssertionError(f"Young inequality violated: gap = {gap}")
         gap = 0.0
     return gap

@@ -6,7 +6,7 @@ closed forms so derivatives, the bounds
 
     a(t) = sup{u >= 0 : phi(t,u) = 0},   b(t) = sup{u >= 0 : phi(t,u) < inf},
 
-and (where known) the convex conjugate are exact.
+the derivative jumps and the convex conjugate are exact.
 
 Derivative conventions used throughout:
 
@@ -34,7 +34,6 @@ from functools import cached_property
 from typing import Callable, NamedTuple, Optional, Sequence
 
 from .errors import DomainError, SpaceMismatchError
-from .solvers import monotone_cap
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = [
@@ -80,13 +79,15 @@ class Delta2Profile:
 
 
 class OrliczGenerator:
-    """Base class: evaluation, one-sided derivatives, and capability flags."""
+    """Base class: evaluation, one-sided derivatives, and structure.
+
+    Families override every method that raises NotImplementedError here;
+    the conjugate, the derivative jumps and the derivative threshold come in
+    closed form."""
 
     family: str = "abstract"
     #: phi(t, u) < inf for every finite u
     finite_valued: bool = True
-    #: phi(t, .) is C1 on [0, b) with right derivative 0 at the origin
-    differentiable: bool = False
 
     # -- evaluation ----------------------------------------------------------
 
@@ -125,32 +126,28 @@ class OrliczGenerator:
     def finite_bound(self, t: float) -> float:
         return math.inf
 
-    def analytic_conjugate(self) -> Optional["OrliczGenerator"]:
-        return None
-
-    def derivative_jumps(self, t: float) -> Optional[list[tuple[float, float, float]]]:
-        """Jump discontinuities of the derivative as (location, lo, hi).
-
-        Includes the convention gap (0, 0, phi'_+(t,0)) when the right
-        derivative at the origin is positive.  None means "unknown" and
-        callers fall back to scanning.
-        """
-        return None
-
     def delta2_profile(self) -> Optional[Delta2Profile]:
         """A (K, f) pair for the doubling condition, or None if the family
         does not satisfy it."""
         return None
 
-    @property
-    def delta2(self) -> bool:
-        return self.delta2_profile() is not None
+    # -- to be provided by families -------------------------------------------
+
+    def analytic_conjugate(self) -> "OrliczGenerator":
+        """The convex conjugate phi*, in closed form."""
+        raise NotImplementedError
+
+    def derivative_jumps(self, t: float) -> list[tuple[float, float, float]]:
+        """Jump discontinuities of the derivative as (location, lo, hi).
+
+        Includes the convention gap (0, 0, phi'_+(t,0)) when the right
+        derivative at the origin is positive.
+        """
+        raise NotImplementedError
 
     def derivative_threshold(self, t: float, n: float) -> float:
         """sup{x >= 0 : phi'_-(t, x) <= n} (may be math.inf)."""
-        return monotone_cap(lambda x: self.left_deriv(t, x), n, 0.0, self.finite_bound(t))
-
-    # -- to be provided by families -------------------------------------------
+        raise NotImplementedError
 
     def _phi(self, t: float, u: float) -> float:
         raise NotImplementedError
@@ -174,7 +171,6 @@ class PowerGenerator(OrliczGenerator):
     p: float
     family = "power"
     finite_valued = True
-    differentiable = True
 
     def __post_init__(self) -> None:
         if not self.p > 1:
@@ -219,7 +215,6 @@ class VariableExponentGenerator(OrliczGenerator):
     exponent_bound: float | None = None
     family = "varexp"
     finite_valued = True
-    differentiable = True
 
     def __post_init__(self) -> None:
         if isinstance(self.exponent, tuple):
@@ -319,7 +314,6 @@ class ExpMinusOneGenerator(OrliczGenerator):
 
     family = "expminusone"
     finite_valued = True
-    differentiable = True
 
     def _phi(self, t, u):
         try:
@@ -355,7 +349,6 @@ class XLogXGenerator(OrliczGenerator):
 
     family = "xlogx"
     finite_valued = True
-    differentiable = True
 
     def _phi(self, t, u):
         return (1.0 + u) * math.log1p(u) - u
@@ -387,7 +380,6 @@ class LinearGenerator(OrliczGenerator):
     slope: float = 1.0
     family = "linear"
     finite_valued = True
-    differentiable = False
 
     def __post_init__(self) -> None:
         if not self.slope > 0:
@@ -422,7 +414,6 @@ class IndicatorGenerator(OrliczGenerator):
     c: float = 1.0
     family = "indicator"
     finite_valued = False
-    differentiable = False
 
     def __post_init__(self) -> None:
         if not self.c > 0:
@@ -540,14 +531,6 @@ class PiecewiseGenerator(OrliczGenerator):
     @property
     def finite_valued(self):  # type: ignore[override]
         return not self.bounded
-
-    @property
-    def differentiable(self):  # type: ignore[override]
-        if self.bounded:
-            return False
-        if self.pieces[0].jump > 0:
-            return False
-        return all(p.jump == 0.0 for p in self.pieces[1:])
 
     def _locate_right(self, u: float) -> int:
         starts = self._table[0]
@@ -689,10 +672,6 @@ class TruncatedGenerator(OrliczGenerator):
         if not self.n > 0:
             raise ValueError("truncation level must be > 0")
 
-    @property
-    def differentiable(self):  # type: ignore[override]
-        return self.base.differentiable
-
     def _threshold(self, t: float) -> float:
         u_n = self._thresholds.get(t)
         if u_n is None:
@@ -717,11 +696,8 @@ class TruncatedGenerator(OrliczGenerator):
         return self.base.zero_bound(t)
 
     def derivative_jumps(self, t):
-        base_jumps = self.base.derivative_jumps(t)
-        if base_jumps is None:
-            return None
         out = []
-        for x, lo, hi in base_jumps:
+        for x, lo, hi in self.base.derivative_jumps(t):
             lo2, hi2 = min(lo, self.n), min(hi, self.n)
             if lo2 < hi2:
                 out.append((x, lo2, hi2))
@@ -740,8 +716,7 @@ class TruncatedGenerator(OrliczGenerator):
     def analytic_conjugate(self):
         # truncation is the infimal convolution phi # n|.|, so its conjugate
         # is phi* + the indicator of [0, n] (Rockafellar 1970, Thm 16.4)
-        conj = self.base.analytic_conjugate()
-        return None if conj is None else CappedGenerator(conj, self.n)
+        return CappedGenerator(self.base.analytic_conjugate(), self.n)
 
 
 @dataclass(frozen=True)
@@ -756,7 +731,6 @@ class CappedGenerator(OrliczGenerator):
     cap: float
     family = "capped"
     finite_valued = False
-    differentiable = False
 
     def __post_init__(self) -> None:
         if not self.cap > 0:
@@ -778,15 +752,11 @@ class CappedGenerator(OrliczGenerator):
         return min(self.base.finite_bound(t), self.cap)
 
     def analytic_conjugate(self):
-        conj = self.base.analytic_conjugate()
-        return None if conj is None else truncate(conj, self.cap)
+        return truncate(self.base.analytic_conjugate(), self.cap)
 
     def derivative_jumps(self, t):
-        base_jumps = self.base.derivative_jumps(t)
-        if base_jumps is None:
-            return None
         b = self.finite_bound(t)
-        out = [j for j in base_jumps if j[0] < b]
+        out = [j for j in self.base.derivative_jumps(t) if j[0] < b]
         out.append((b, self.left_deriv(t, b), math.inf))
         return out
 
@@ -859,11 +829,7 @@ class Violation:
     detail: str
 
 
-def validate_generator(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    u_grid: Sequence[float] | None = None,
-) -> list[Violation]:
+def validate_generator(gen: OrliczGenerator, space: GridMeasureSpace) -> list[Violation]:
     """Numerically assert the defining properties on a sample grid.
 
     Checks: phi(t,0) = 0 with the right limit 0, values and one-sided
@@ -876,15 +842,12 @@ def validate_generator(
     ts = space.coords[:50]
     for t in ts:
         b = gen.finite_bound(t)
-        if u_grid is None:
-            top = min(b * 0.999, 50.0)
-            grid = sorted(
-                {0.0, top}
-                | {top * j / 49.0 for j in range(1, 49)}
-                | {top * 10.0**-k for k in range(1, 7)}
-            )
-        else:
-            grid = sorted(set(float(x) for x in u_grid))
+        top = min(b * 0.999, 50.0)
+        grid = sorted(
+            {0.0, top}
+            | {top * j / 49.0 for j in range(1, 49)}
+            | {top * 10.0**-k for k in range(1, 7)}
+        )
 
         if gen.phi(t, 0.0) != 0.0:
             out.append(Violation("zero_at_origin", t, f"phi(t,0) = {gen.phi(t, 0.0)}"))

@@ -51,6 +51,8 @@ __all__ = [
 ]
 
 EPS_EQ = 1e-7
+#: per-atom sample count of the doubling cross-check in check_space_smoothness
+DELTA2_SAMPLES = 64
 
 
 @dataclass(frozen=True)
@@ -503,10 +505,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
 
 
 def check_space_smoothness(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    samples: int = 64,
-    eps_eq: float = EPS_EQ,
+    gen: OrliczGenerator, space: GridMeasureSpace
 ) -> SpaceSmoothnessReport:
     """The three-part smoothness criterion for the whole space:
 
@@ -515,8 +514,8 @@ def check_space_smoothness(
     (b) the generator satisfies the doubling condition (analytic family
         flag, cross-checked by the sampled falsifier);
     (c) the generator is continuously differentiable with zero right
-        derivative at the origin (per-atom derivative-gap scan at the
-        delta ladder 1, 0.1, 0.01).
+        derivative at the origin (per-atom derivative jumps at the delta
+        ladder 1, 0.1, 0.01).
     """
     conj = conjugate(gen)
     evidence: dict[str, tuple] = {}
@@ -543,14 +542,14 @@ def check_space_smoothness(
     profile = gen.delta2_profile()
     if profile is not None:
         verdict = delta2_check(
-            gen, space, profile.constant, profile.threshold, samples=samples
+            gen, space, profile.constant, profile.threshold, samples=DELTA2_SAMPLES
         )
         b_ok = True
         note = "family doubling flag holds" + (
             "" if verdict.holds else "; sampled cross-check disagrees"
         )
     else:
-        verdict = delta2_check(gen, space, 256.0, samples=samples)
+        verdict = delta2_check(gen, space, 256.0, samples=DELTA2_SAMPLES)
         b_ok = False
         note = "family leaves the doubling class" + (
             "" if not verdict.holds else "; sampled falsifier found no witness"
@@ -595,64 +594,25 @@ def check_space_smoothness(
 
 
 def smoothness_gap_function(
-    gen: OrliczGenerator,
-    space: GridMeasureSpace,
-    delta: float,
-    horizon: float = 1e6,
+    gen: OrliczGenerator, space: GridMeasureSpace, delta: float
 ) -> GapProfile:
     """Per atom, the first u where phi'_+ - phi'_- reaches delta (the left
     derivative at 0 counting as 0); math.inf where no such gap exists.
-    Closed-form jump lists are used when the family provides them, a scan
-    with bisection otherwise."""
+    Read from the family's closed-form jump list."""
     if not delta > 0:
         raise DomainError("delta must be > 0")
     locations: list[float] = []
     mask: list[bool] = []
     for t, _ in space.items():
-        jumps = gen.derivative_jumps(t)
-        if jumps is not None:
-            loc = math.inf
-            for x, lo, hi in jumps:
-                if _gap(hi, lo) >= delta:
-                    loc = x
-                    break
-        else:
-            loc = _scan_gap(gen, t, delta, horizon)
+        loc = math.inf
+        for x, lo, hi in gen.derivative_jumps(t):
+            if _gap(hi, lo) >= delta:
+                loc = x
+                break
         locations.append(loc)
         mask.append(math.isfinite(loc))
     _assert_gap_postcondition(gen, space, delta, locations)
     return GapProfile(tuple(locations), tuple(mask))
-
-
-def _scan_gap(gen: OrliczGenerator, t: float, delta: float, horizon: float) -> float:
-    if gen.right_deriv(t, 0.0) >= delta:
-        return 0.0
-    b = gen.finite_bound(t)
-    top = min(horizon, b)
-    grid = [top * j / 400.0 for j in range(1, 401)]
-    prev = 0.0
-    for x in grid:
-        r_prev = gen.right_deriv(t, prev)
-        l_cur = gen.left_deriv(t, x)
-        seg_gap = _gap(l_cur, r_prev)
-        point_gap = _gap(gen.right_deriv(t, x), l_cur)
-        if point_gap >= delta:
-            return x
-        if seg_gap >= delta:
-            # the first u in (prev, x] where the gap to phi'_+(prev) opens
-            def opened(m: float) -> bool:
-                return _gap(gen.left_deriv(t, m), r_prev) >= delta
-
-            _, hi = monotone_boundary(opened, start=x, rel_tol=0.0, lo=prev)
-            # a smooth but steep rise also triggers the segment test; only
-            # report the location if the pointwise gap is really there
-            l_hi, r_hi = gen.left_deriv(t, hi), gen.right_deriv(t, hi)
-            if _gap(r_hi, l_hi) >= delta - 1e-9:
-                return hi
-        prev = x
-    if math.isfinite(b) and top >= b * (1.0 - 1e-12):
-        return b  # the jump past the effective domain
-    return math.inf
 
 
 def _assert_gap_postcondition(gen, space, delta, locations) -> None:

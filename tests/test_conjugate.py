@@ -8,6 +8,8 @@ from monorm import (
     ExpMinusOneGenerator,
     IndicatorGenerator,
     LinearGenerator,
+    NumericConjugate,
+    OrliczGenerator,
     Piece,
     PiecewiseGenerator,
     PowerGenerator,
@@ -16,7 +18,6 @@ from monorm import (
     XLogXGenerator,
     biconjugate_residual,
     conjugate,
-    numeric_conjugate,
     subdiff,
     truncate,
     validate_generator,
@@ -64,7 +65,7 @@ def test_varexp_conjugate_closed_form(two_atoms):
 def test_conjugate_of_zero_is_zero(two_atoms):
     for gen in all_families(two_atoms):
         assert conjugate(gen).phi(T, 0.0) == 0.0
-        assert numeric_conjugate(gen).phi(T, 0.0) == 0.0
+        assert NumericConjugate(gen).phi(T, 0.0) == 0.0
 
 
 def test_kink_conjugate_values(kink_linear):
@@ -91,7 +92,7 @@ def _truncated_families(space):
 def test_analytic_vs_numeric_agreement(two_atoms):
     for gen in all_families(two_atoms) + [BOUNDED_PLQ] + _truncated_families(two_atoms):
         ana = conjugate(gen)
-        num = numeric_conjugate(gen)
+        num = NumericConjugate(gen)
         b_star = ana.finite_bound(T)
         top = min(b_star, 6.0)
         probes = [top * j / 12.0 for j in range(13)]
@@ -104,6 +105,49 @@ def test_analytic_vs_numeric_agreement(two_atoms):
             assert math.isfinite(a) == math.isfinite(n), (gen, v)
             if math.isfinite(a):
                 assert abs(a - n) <= 1e-8 * max(1.0, a), (gen, v)
+
+
+def test_jump_lists_match_the_one_sided_derivatives(two_atoms):
+    # jump lists are the only source of gap locations and of clause (c): each
+    # listed (x, lo, hi) is (phi'_-(x), phi'_+(x)), and off the list the two
+    # one-sided derivatives agree
+    gens = all_families(two_atoms) + [BOUNDED_PLQ] + _truncated_families(two_atoms)
+    for gen in gens + [conjugate(g) for g in gens]:
+        for t in two_atoms.coords:
+            jumps = gen.derivative_jumps(t)
+            for x, lo, hi in jumps:
+                assert (gen.left_deriv(t, x), gen.right_deriv(t, x)) == (lo, hi), (gen, t, x)
+            listed = {x for x, _, _ in jumps}
+            top = min(gen.finite_bound(t), 8.0)
+            for j in range(1, 200):
+                x = top * j / 200.0
+                if x in listed:
+                    continue
+                lo, hi = gen.left_deriv(t, x), gen.right_deriv(t, x)
+                assert abs(hi - lo) <= 1e-12 * max(1.0, hi), (gen, t, x, lo, hi)
+
+
+class _NoClosedForm(OrliczGenerator):
+    """u**4 / 4 with values and derivatives only."""
+
+    def _phi(self, t, u):
+        return u**4 / 4.0
+
+    def _left(self, t, u):
+        return u**3
+
+    def _right(self, t, u):
+        return u**3
+
+
+def test_conjugate_needs_a_closed_form():
+    gen = _NoClosedForm()
+    with pytest.raises(NotImplementedError):
+        conjugate(gen)
+    with pytest.raises(NotImplementedError):
+        gen.derivative_jumps(T)
+    # the numeric reference still conjugates it
+    assert NumericConjugate(gen).phi(T, 1.0) == pytest.approx(0.75, abs=1e-8)
 
 
 def test_truncated_conjugate_is_a_generator(two_atoms):

@@ -219,18 +219,6 @@ def test_gap_function_postcondition(two_atoms, kink_linear):
                 assert h2 - l2 < delta
 
 
-def test_gap_function_generic_scan(two_atoms, kink_linear):
-    # force the scan path by hiding the closed-form jump list
-    class Hidden(type(kink_linear)):
-        def derivative_jumps(self, t):
-            return None
-
-    hidden = Hidden(kink_linear.pieces, kink_linear.bounded)
-    prof = smoothness_gap_function(hidden, two_atoms, 0.5, horizon=10.0)
-    assert all(prof.finite_mask)
-    assert all(loc == pytest.approx(1.0, abs=1e-6) for loc in prof.locations)
-
-
 def test_survey_matches_classifier(two_atoms, kink_linear, plateau):
     gen_p, space_p, u_p = plateau
     cases = [

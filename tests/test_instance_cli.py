@@ -267,6 +267,8 @@ def test_tol_override_rejects_bad_values(instance_file, capsys, monkeypatch, val
         ["smooth-space", "--instance", instance_file],
         ["smooth-point", "--instance", instance_file, "--function", "u2"],
         ["support", "--instance", instance_file, "--function", "u1"],
+        ["norm", "--instance", instance_file, "--function", "u1"],
+        ["gap", "--instance", instance_file, "--delta", "0.5"],
     ):
         assert run(cmd) == 2
         assert "MO_TOL_OVERRIDE" in capsys.readouterr().err
