@@ -9,9 +9,11 @@ relative to tests/golden/); its report is the exact stdout of
     python scripts/regen_golden.py --check    # compare, print per-field diffs
 
 `--check` exits 1 when any report differs and prints, per numeric field, the
-largest relative difference between the stored and the fresh report (list
-indices folded into `[]`), which is the summary to quote whenever a change
-moves numbers on purpose.
+largest absolute and the largest relative difference between the stored and
+the fresh report (list indices folded into `[]`), which is the summary to
+quote whenever a change moves numbers on purpose.  For a value near 0 (a gap,
+say) any change reads as relative difference 1, so the absolute one is the
+informative one there.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import json
 import math
 import sys
 from pathlib import Path
+from typing import Callable
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = ROOT / "tests" / "golden"
@@ -60,13 +63,24 @@ def _rel_diff(a, b) -> float:
     return abs(a - b) / max(abs(a), abs(b))
 
 
+def _abs_diff(a, b) -> float:
+    if a == b:
+        return 0.0
+    if a == "inf" or b == "inf":
+        return math.inf
+    return abs(a - b)
+
+
 def _is_number(x) -> bool:
     return x == "inf" or (isinstance(x, (int, float)) and not isinstance(x, bool))
 
 
-def field_diffs(expected: str, actual: str) -> dict[str, float | str]:
-    """Largest relative difference per numeric field, "changed" for other
-    fields that differ; fields that agree are left out."""
+def field_diffs(
+    expected: str, actual: str, measure: Callable = _rel_diff
+) -> dict[str, float | str]:
+    """Largest difference per numeric field (relative by default, or by the
+    given measure), "changed" for other fields that differ; fields that
+    agree are left out."""
     try:
         old, new = json.loads(expected), json.loads(actual)
     except json.JSONDecodeError:
@@ -83,7 +97,7 @@ def field_diffs(expected: str, actual: str) -> dict[str, float | str]:
         elif _is_number(a) and _is_number(b):
             prev = diffs.get(path, 0.0)
             if prev != "changed":
-                diffs[path] = max(prev, _rel_diff(a, b))
+                diffs[path] = max(prev, measure(a, b))
         elif a != b:
             diffs[path or "<report>"] = "changed"
 
@@ -91,10 +105,13 @@ def field_diffs(expected: str, actual: str) -> dict[str, float | str]:
     return {k: v for k, v in diffs.items() if v != 0.0}
 
 
-def format_diffs(diffs: dict[str, float | str]) -> str:
+def format_diffs(expected: str, actual: str) -> str:
+    rel = field_diffs(expected, actual)
+    gaps = field_diffs(expected, actual, _abs_diff)
     return "\n".join(
-        f"  {path}: " + (v if isinstance(v, str) else f"max rel diff {v:.3g}")
-        for path, v in sorted(diffs.items())
+        f"  {path}: "
+        + (v if isinstance(v, str) else f"max abs diff {gaps[path]:.3g}, max rel diff {v:.3g}")
+        for path, v in sorted(rel.items())
     )
 
 
@@ -106,7 +123,7 @@ def check_case(case: dict) -> str | None:
     expected = report_path(case).read_text()
     if text == expected:
         return None
-    return format_diffs(field_diffs(expected, text)) or "  bytes differ, values equal"
+    return format_diffs(expected, text) or "  bytes differ, values equal"
 
 
 def main() -> int:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 
@@ -9,6 +10,8 @@ from monorm import (
     GridMeasureSpace,
     IndicatorGenerator,
     LinearGenerator,
+    Piece,
+    PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
     conjugate,
@@ -18,11 +21,14 @@ from monorm import (
     luxemburg_norm_bruteforce,
     orlicz_amemiya_norm,
     orlicz_norm_bruteforce,
+    truncate,
     truncated_norm_sequence,
 )
-from monorm.duality import holder_equality_pair
+from monorm import duality
+from monorm.duality import best_grid_point, holder_equality_pair
 from monorm.errors import OracleScaleError, PreconditionError
-from conftest import random_instance
+from monorm.selfcheck import random_space
+from conftest import all_families, random_instance
 
 
 def test_orlicz_bruteforce_examples(two_atoms):
@@ -61,6 +67,94 @@ def test_luxemburg_bruteforce_examples(two_atoms):
     assert bf == pytest.approx(2.0, abs=1e-3)
     zero = SimpleFunction.on(two_atoms, (0.0, 0.0))
     assert luxemburg_norm_bruteforce(PowerGenerator(2.0), two_atoms, zero, 50) == 0.0
+
+
+def _oracle_families(space):
+    """Every built-in family, a bounded plq, and each of them truncated."""
+    bounded = PiecewiseGenerator(
+        (Piece(1.0, 0.0, 1.0), Piece(2.0, 0.5, 0.5)), bounded=True
+    )
+    plain = all_families(space) + [bounded]
+    return plain + [truncate(gen, n) for gen, n in zip(plain, itertools.cycle((0.5, 2.0, 8.0)))]
+
+
+def test_luxemburg_oracle_brackets_analytic_norm():
+    rng = random.Random(53)
+    for _ in range(3):
+        space = random_space(rng, rng.randint(2, 4))
+        for gen in _oracle_families(space):
+            u = SimpleFunction.on(space, [rng.uniform(-2.0, 2.0) for _ in range(len(space))])
+            an = luxemburg_norm(gen, space, u)
+            slack = 1e-9 * max(1.0, an)
+            bf = luxemburg_norm_bruteforce(gen, space, u, 400)
+            assert bf <= an + slack, (gen, u.values)
+            assert an - bf <= 5e-3, (gen, u.values)
+            # a coarse grid still gives a certified lower bound
+            assert luxemburg_norm_bruteforce(gen, space, u, 12) <= an + slack
+
+
+def test_luxemburg_oracle_solves_no_norm(monkeypatch, two_atoms):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the Luxemburg oracle must not solve a norm")
+
+    monkeypatch.setattr(duality, "orlicz_amemiya_norm", refuse)
+    monkeypatch.setattr(duality, "luxemburg_norm", refuse)
+    u = SimpleFunction.on(two_atoms, (1.0, -2.0))
+    for gen in _oracle_families(two_atoms):
+        assert luxemburg_norm_bruteforce(gen, two_atoms, u, 24) > 0.0
+
+
+def test_oracle_resolution_must_be_at_least_two(two_atoms):
+    u = SimpleFunction.on(two_atoms, (1.0, 1.0))
+    for oracle in (orlicz_norm_bruteforce, luxemburg_norm_bruteforce):
+        for resolution in (1, 0, -3):
+            with pytest.raises(PreconditionError, match="resolution"):
+                oracle(PowerGenerator(2.0), two_atoms, u, resolution)
+        assert oracle(PowerGenerator(2.0), two_atoms, u, 2) > 0.0
+
+
+def _exhaustive_grid_point(grids, gains):
+    """Every combination in depth-first order; the first strictly better
+    feasible one wins."""
+    best_val, best_mags = 0.0, [0.0] * len(grids)
+    for combo in itertools.product(*grids):
+        cost = val = 0.0
+        for (m, c), g in zip(combo, gains):
+            cost = cost + c
+            val = val + g * m
+        if cost <= 1.0 + 1e-12 and val > best_val:
+            best_val, best_mags = val, [m for m, _ in combo]
+    return best_val, best_mags
+
+
+def _random_grid(rng, size, tie_costs):
+    mags = sorted({0.0} | {rng.uniform(0.0, 3.0) for _ in range(size - 1)})
+    top = rng.uniform(0.3, 1.0)
+    costs = sorted(
+        round(rng.uniform(0.0, top), 1) if tie_costs else rng.uniform(0.0, top)
+        for _ in mags[1:]
+    )
+    return list(zip(mags, [0.0] + costs))
+
+
+def test_grid_scan_matches_exhaustive_search():
+    rng = random.Random(61)
+    for trial in range(300):
+        n = rng.randint(1, 4)
+        grids = [_random_grid(rng, rng.randint(1, 7), trial % 2 == 0) for _ in range(n)]
+        gains = [rng.uniform(0.0, 2.0) for _ in range(n)]
+        if trial % 3 == 0:
+            # the last gain vanishes next to the running value, so several
+            # last magnitudes give the same float pairing
+            gains[-1] = rng.choice((1e-17, 2.0**-54, 2.0**-53, 0.0))
+        assert best_grid_point(grids, gains) == _exhaustive_grid_point(grids, gains)
+
+
+def test_grid_scan_takes_the_first_of_equal_values():
+    grids = [[(0.0, 0.0), (1.0, 0.5)], [(0.0, 0.0), (0.25, 0.1), (0.5, 0.2), (4.0, 0.9)]]
+    # 1 + 1e-17 * m rounds to 1 for every m, so the last magnitude is the first
+    assert best_grid_point(grids, [1.0, 1e-17]) == (1.0, [1.0, 0.0])
+    assert best_grid_point(grids, [1.0, 0.2]) == (1.0 + 0.2 * 0.5, [1.0, 0.5])
 
 
 def test_holder_examples(two_atoms):

@@ -32,3 +32,14 @@ def test_field_diffs_reports_largest_relative_difference():
     assert diffs["b"] == float("inf")
     assert diffs["c"] == "changed"
     assert "d" not in diffs
+
+
+def test_check_summary_quotes_absolute_and_relative_differences():
+    old = '{"gap":1e-10,"norm":2.0,"name":"x"}'
+    new = '{"gap":0,"norm":2.0,"name":"y"}'
+    gaps = golden.field_diffs(old, new, golden._abs_diff)
+    assert gaps == {"gap": 1e-10, "name": "changed"}
+    assert golden.format_diffs(old, new).splitlines() == [
+        "  gap: max abs diff 1e-10, max rel diff 1",
+        "  name: changed",
+    ]

@@ -185,6 +185,16 @@ def test_oracle_command(instance_file, capsys):
     assert abs(report["luxemburg_gap"]) <= 5e-3
 
 
+@pytest.mark.parametrize("resolution", ["1", "0", "-3"])
+def test_oracle_resolution_below_two_is_an_input_error(instance_file, capsys, resolution):
+    argv = ["oracle", "--instance", instance_file, "--function", "u1"]
+    assert run(argv + ["--resolution", resolution, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "resolution must be >= 2" in captured.err
+    assert run(argv + ["--resolution", "2", "--json"]) == 0
+
+
 def test_delta2_command(instance_file, capsys):
     code = run(["delta2", "--instance", instance_file, "--K", "4.0", "--json"])
     report = json.loads(capsys.readouterr().out)
