@@ -55,20 +55,17 @@ def report_path(case: dict) -> Path:
     return REPORTS / f"{case['name']}.json"
 
 
-def _rel_diff(a, b) -> float:
-    if a == b:
-        return 0.0
-    if a == "inf" or b == "inf":
-        return math.inf
-    return abs(a - b) / max(abs(a), abs(b))
-
-
 def _abs_diff(a, b) -> float:
     if a == b:
         return 0.0
     if a == "inf" or b == "inf":
         return math.inf
     return abs(a - b)
+
+
+def _rel_diff(a, b) -> float:
+    gap = _abs_diff(a, b)
+    return gap / max(abs(a), abs(b)) if 0.0 < gap < math.inf else gap
 
 
 def _is_number(x) -> bool:

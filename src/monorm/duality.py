@@ -287,8 +287,7 @@ def luxemburg_norm_bruteforce(
         return m_best if f_best > values[j] else grid[j]
 
     n = len(supp)
-    mags = [magnitude_cap(conj, t, 1.0 / (n * w)) for t, w in zip(coords, weights)]
-    best = ratio(mags)
+    best = ratio([magnitude_cap(conj, t, 1.0 / (n * w)) for t, w in zip(coords, weights)])
     for _ in range(_DINKELBACH_MAX_STEPS):
         trial = [step(*atom, best) for atom in zip(coords, weights, gains, tops)]
         val = ratio(trial)
