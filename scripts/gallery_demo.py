@@ -10,7 +10,7 @@ already grows without bound at scaling 1.
 import argparse
 import math
 
-from monorm.gallery import GalleryConfig, gallery_report
+from monorm.gallery import gallery_report
 
 
 def fmt(x: float) -> str:
@@ -26,7 +26,7 @@ def main() -> None:
     parser.add_argument("--ladder", default="256,1024,4096")
     args = parser.parse_args()
     ladder = tuple(int(x) for x in args.ladder.split(","))
-    report = gallery_report(GalleryConfig(resolutions=ladder))
+    report = gallery_report(ladder)
     print(report["note"])
     print(f"exponent: {report['exponent']}")
     scalings = list(report["ladder"][0]["modular_low"])

@@ -22,7 +22,7 @@ from .duality import (
     orlicz_norm_bruteforce,
 )
 from .errors import BracketError, MonormError
-from .gallery import GalleryConfig, gallery_report
+from .gallery import gallery_report
 from .generators import generator_bounds
 from .geometry import (
     EPS_EQ,
@@ -250,7 +250,7 @@ def _cmd_gap(args) -> dict:
 
 def _cmd_gallery(args) -> dict:
     ladder = tuple(int(x) for x in args.ladder.split(","))
-    return gallery_report(GalleryConfig(resolutions=ladder))
+    return gallery_report(ladder)
 
 
 def _cmd_selftest(args) -> dict:

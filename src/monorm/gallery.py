@@ -17,22 +17,14 @@ exponents of a few thousand (resolutions around 2^12).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .generators import VariableExponentGenerator, modular, weighted_sum
 from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
-__all__ = ["GalleryConfig", "gallery_report"]
+__all__ = ["gallery_report"]
 
 DEFAULT_LADDER = (256, 1024, 4096)
 DEFAULT_SCALINGS = (0.0, 0.5, 0.99, 1.0, 1.01)
-
-
-@dataclass(frozen=True)
-class GalleryConfig:
-    resolutions: tuple[int, ...] = DEFAULT_LADDER
-    scalings: tuple[float, ...] = DEFAULT_SCALINGS
 
 
 def _exponent(t: float) -> float:
@@ -75,7 +67,7 @@ def _block_level(gen, space, idx) -> float:
 
 
 def _build(space: GridMeasureSpace):
-    gen = VariableExponentGenerator(exponent=_exponent)
+    gen = VariableExponentGenerator.from_values(space, [_exponent(t) for t in space.coords])
     blocks = _blocks(space)
     low = [0.0] * len(space)
     high = [0.0] * len(space)
@@ -89,17 +81,17 @@ def _build(space: GridMeasureSpace):
     return gen, len(blocks), SimpleFunction.on(space, low), SimpleFunction.on(space, high)
 
 
-def gallery_report(config: GalleryConfig = GalleryConfig()) -> dict:
-    """Modulars of the two gallery functions across scalings and the
+def gallery_report(resolutions: tuple[int, ...] = DEFAULT_LADDER) -> dict:
+    """Modulars of the two gallery functions at DEFAULT_SCALINGS along the
     resolution ladder; values beyond float range appear as "inf"."""
     ladder = []
-    for resolution in config.resolutions:
+    for resolution in resolutions:
         space = GridMeasureSpace.uniform(resolution)
         gen, n_blocks, u_low, u_high = _build(space)
         entry: dict = {"resolution": resolution, "blocks": n_blocks}
         low: dict[str, object] = {}
         high: dict[str, object] = {}
-        for lam in config.scalings:
+        for lam in DEFAULT_SCALINGS:
             key = f"{lam:g}"
             low[key] = modular(gen, space, u_low * lam)
             high[key] = modular(gen, space, u_high * lam)

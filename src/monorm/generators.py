@@ -17,7 +17,10 @@ Derivative conventions used throughout:
 
 Values, derivatives and bounds are plain floats in [0, inf], with math.inf
 for "infinite".  The weighted sums never form 0 * inf, since every weight is
-> 0 and phi(t, 0) = 0; validate_generator rejects NaN and negative values.
+> 0 and phi(t, 0) = 0.  Each constructor checks its parameters once and
+exactly, rejecting those whose closed form or conjugate leaves the float
+range; evaluation never re-checks them, and its overflow saturates to
+math.inf.  validate_generator is the sampled check of hand-built generators.
 
 Every weighted per-atom sum (the modular, the conjugate modular of the
 derivative, the degenerate masses) goes through weighted_sum, one correctly
@@ -31,7 +34,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 from .space import GridMeasureSpace, SimpleFunction
@@ -67,6 +70,30 @@ def _pow(x: float, p: float, coef: float = 1.0) -> float:
         return coef * x**p
     except OverflowError:
         return math.inf
+
+
+def _expm1(x: float) -> float:
+    """math.expm1(x) with overflow saturating to math.inf."""
+    try:
+        return math.expm1(x)
+    except OverflowError:
+        return math.inf
+
+
+def _conjugate_power(p: float, c: float) -> tuple[float, float]:
+    """(q, c*) = (p/(p-1), (cp)**(-1/(p-1)) * (p-1)/p), the conjugate of
+    c * u**p being c* * v**q; ValueError unless q > 1 (q rounds to 1 from p
+    of about 2**53 on) and 0 < c* < inf, so the conjugate can be built."""
+    q = p / (p - 1.0)
+    try:
+        c_star = (c * p) ** (-1.0 / (p - 1.0)) * (p - 1.0) / p
+    except OverflowError:
+        c_star = math.inf
+    if not (q > 1.0 and 0.0 < c_star < math.inf):
+        raise ValueError(
+            f"the conjugate of {c} * u**{p} leaves the float range (q = {q}, c* = {c_star})"
+        )
+    return q, c_star
 
 
 @dataclass(frozen=True)
@@ -173,8 +200,9 @@ class PowerGenerator(OrliczGenerator):
     finite_valued = True
 
     def __post_init__(self) -> None:
-        if not self.p > 1:
-            raise ValueError(f"power family needs p > 1, got {self.p}")
+        if not 1.0 < self.p < math.inf:
+            raise ValueError(f"power family needs a finite p > 1, got {self.p}")
+        _conjugate_power(self.p, 1.0 / self.p)
 
     def _phi(self, t, u):
         return _pow(u, self.p, 1.0 / self.p)
@@ -193,39 +221,40 @@ class PowerGenerator(OrliczGenerator):
         return []
 
     def delta2_profile(self):
-        return Delta2Profile(2.0**self.p)
+        return Delta2Profile(_pow(2.0, self.p))
 
     def derivative_threshold(self, t, n):
-        return n ** (1.0 / (self.p - 1.0))
+        return _pow(n, 1.0 / (self.p - 1.0))
 
 
 @dataclass(frozen=True)
 class VariableExponentGenerator(OrliczGenerator):
-    """phi(t, u) = c(t) * u**p(t) with p(t) > 1.
+    """phi(t, u) = c(t) * u**p(t) with p(t) > 1, one (p, c) per coordinate.
 
-    Parameters are either callables of the coordinate or per-atom arrays
-    bound to a fixed coordinate list.  With unbounded exponents the family
-    leaves the doubling class, which is the interesting regime for the
-    divergence gallery.
+    ``exponent`` and ``coef`` (None: c = 1) hold one value per entry of
+    ``coords``; the generator is defined at exactly those coordinates.  With
+    unbounded exponents the family leaves the doubling class, which is the
+    interesting regime for the divergence gallery.
     """
 
-    exponent: Callable[[float], float] | tuple[float, ...]
-    coef: Callable[[float], float] | tuple[float, ...] | None = None
-    coords: tuple[float, ...] | None = None
-    exponent_bound: float | None = None
+    exponent: tuple[float, ...]
+    coords: tuple[float, ...]
+    coef: tuple[float, ...] | None = None
     family = "varexp"
     finite_valued = True
 
     def __post_init__(self) -> None:
-        if isinstance(self.exponent, tuple):
-            if self.coords is None or len(self.coords) != len(self.exponent):
-                raise ValueError("per-atom exponents need matching coordinates")
-            if self.exponent_bound is None:
-                object.__setattr__(self, "exponent_bound", max(self.exponent))
-        if isinstance(self.coef, tuple) and (
-            self.coords is None or len(self.coords) != len(self.coef)
-        ):
-            raise ValueError("per-atom coefficients need matching coordinates")
+        n = len(self.coords)
+        if len(self.exponent) != n or (self.coef is not None and len(self.coef) != n):
+            raise ValueError("per-atom exponents and coefficients need one value per coordinate")
+        if len(self._params) != n:
+            raise ValueError("per-atom coordinates must be distinct")
+        for t, (p, c) in self._params.items():
+            if not (1.0 < p < math.inf and 0.0 < c < math.inf):
+                raise ValueError(
+                    f"varexp needs finite p > 1 and c > 0, got p = {p}, c = {c} at t = {t}"
+                )
+            _conjugate_power(p, c)
 
     @classmethod
     def from_values(
@@ -240,72 +269,42 @@ class VariableExponentGenerator(OrliczGenerator):
             coords=space.coords,
         )
 
-    def _lookup(self, table: tuple[float, ...], t: float) -> float:
-        i = bisect_left(self.coords, t)
-        for j in (i - 1, i):
-            if 0 <= j < len(self.coords) and abs(self.coords[j] - t) <= 1e-12:
-                return table[j]
-        raise DomainError(f"per-atom parameters are not defined at t = {t}")
+    @cached_property
+    def _params(self) -> dict[float, tuple[float, float]]:
+        """Coordinate -> (p, c), built once; evaluation matches t exactly."""
+        coef = (1.0,) * len(self.coords) if self.coef is None else self.coef
+        return dict(zip(self.coords, zip(self.exponent, coef)))
 
-    def _p(self, t: float) -> float:
-        p = (
-            self._lookup(self.exponent, t)
-            if isinstance(self.exponent, tuple)
-            else self.exponent(t)
-        )
-        if not p > 1:
-            raise DomainError(f"variable exponent must be > 1, got {p} at t = {t}")
-        return p
-
-    def _c(self, t: float) -> float:
-        if self.coef is None:
-            return 1.0
-        c = self._lookup(self.coef, t) if isinstance(self.coef, tuple) else self.coef(t)
-        if not c > 0:
-            raise DomainError(f"coefficient must be > 0, got {c} at t = {t}")
-        return c
+    def _at(self, t: float) -> tuple[float, float]:
+        try:
+            return self._params[t]
+        except KeyError:
+            raise DomainError(f"per-atom parameters are not defined at t = {t}") from None
 
     def _phi(self, t, u):
-        return _pow(u, self._p(t), self._c(t))
+        p, c = self._at(t)
+        return _pow(u, p, c)
 
     def _left(self, t, u):
-        p = self._p(t)
-        return _pow(u, p - 1.0, self._c(t) * p)
+        p, c = self._at(t)
+        return _pow(u, p - 1.0, c * p)
 
     def _right(self, t, u):
         return self._left(t, u) if u > 0 else 0.0
 
     def analytic_conjugate(self):
-        def conj_p(t: float) -> float:
-            p = self._p(t)
-            return p / (p - 1.0)
-
-        def conj_c(t: float) -> float:
-            p = self._p(t)
-            c = self._c(t)
-            return (c * p) ** (-1.0 / (p - 1.0)) * (p - 1.0) / p
-
-        if isinstance(self.exponent, tuple):
-            return VariableExponentGenerator(
-                exponent=tuple(conj_p(t) for t in self.coords),
-                coef=tuple(conj_c(t) for t in self.coords),
-                coords=self.coords,
-            )
-        # q = p/(p-1) blows up as p -> 1+, so a sup bound on p says nothing
-        # about q; leave the conjugate's bound unknown
-        return VariableExponentGenerator(exponent=conj_p, coef=conj_c)
+        q, c_star = zip(*(_conjugate_power(*self._at(t)) for t in self.coords))
+        return VariableExponentGenerator(exponent=q, coords=self.coords, coef=c_star)
 
     def derivative_jumps(self, t):
         return []
 
     def delta2_profile(self):
-        if self.exponent_bound is None:
-            return None
-        return Delta2Profile(2.0**self.exponent_bound)
+        return Delta2Profile(_pow(2.0, max(self.exponent)))
 
     def derivative_threshold(self, t, n):
-        p = self._p(t)
-        return (n / (self._c(t) * p)) ** (1.0 / (p - 1.0))
+        p, c = self._at(t)
+        return _pow(n / (c * p), 1.0 / (p - 1.0))
 
 
 @dataclass(frozen=True)
@@ -316,22 +315,13 @@ class ExpMinusOneGenerator(OrliczGenerator):
     finite_valued = True
 
     def _phi(self, t, u):
-        try:
-            return math.expm1(u) - u
-        except OverflowError:
-            return math.inf
-
-    def _deriv(self, u):
-        try:
-            return math.expm1(u)
-        except OverflowError:
-            return math.inf
+        return _expm1(u) - u
 
     def _left(self, t, u):
-        return self._deriv(u)
+        return _expm1(u)
 
     def _right(self, t, u):
-        return self._deriv(u)
+        return _expm1(u)
 
     def analytic_conjugate(self):
         return XLogXGenerator()
@@ -370,7 +360,7 @@ class XLogXGenerator(OrliczGenerator):
         return Delta2Profile(4.0)
 
     def derivative_threshold(self, t, n):
-        return math.expm1(n)
+        return _expm1(n)
 
 
 @dataclass(frozen=True)
@@ -382,8 +372,8 @@ class LinearGenerator(OrliczGenerator):
     finite_valued = True
 
     def __post_init__(self) -> None:
-        if not self.slope > 0:
-            raise ValueError("linear family needs slope > 0")
+        if not 0.0 < self.slope < math.inf:
+            raise ValueError(f"linear family needs a finite slope > 0, got {self.slope}")
 
     def _phi(self, t, u):
         return self.slope * u
@@ -416,8 +406,8 @@ class IndicatorGenerator(OrliczGenerator):
     finite_valued = False
 
     def __post_init__(self) -> None:
-        if not self.c > 0:
-            raise ValueError("indicator family needs threshold c > 0")
+        if not 0.0 < self.c < math.inf:
+            raise ValueError(f"indicator family needs a finite threshold c > 0, got {self.c}")
 
     def _phi(self, t, u):
         return 0.0 if u <= self.c else math.inf
@@ -477,56 +467,21 @@ class PiecewiseGenerator(OrliczGenerator):
     family = "plq"
 
     def __post_init__(self) -> None:
-        if not self.pieces:
-            raise ValueError("need at least one piece")
         pieces = tuple(
             Piece(None if p.width is None else float(p.width), float(p.jump), float(p.slope))
             for p in self.pieces
         )
         object.__setattr__(self, "pieces", pieces)
-        for i, p in enumerate(pieces):
-            if p.jump < 0 or p.slope < 0:
-                raise ValueError(f"piece {i}: jumps and slopes must be >= 0")
-            if p.width is not None and not p.width > 0:
-                raise ValueError(f"piece {i}: width must be > 0")
-            if p.width is None and i != len(pieces) - 1:
-                raise ValueError("only the final piece may be unbounded")
-        last = pieces[-1]
-        if self.bounded:
-            if last.width is None:
-                raise ValueError("a bounded generator needs a final width")
-        else:
-            if last.width is not None:
-                raise ValueError("an unbounded generator needs an unbounded final piece")
-            if self._tail_level() == 0.0 and last.slope == 0.0:
-                raise ValueError("phi must eventually grow (phi(inf) = inf)")
-
-    def _tail_level(self) -> float:
-        level = 0.0
-        for p in self.pieces:
-            level += p.jump
-            if p.width is not None:
-                level += p.slope * p.width
-        return level
+        _check_pieces(pieces, self.bounded)
+        try:
+            _check_pieces(*_conjugate_pieces(pieces, self.bounded))
+        except ValueError as exc:
+            raise ValueError(f"the conjugate is not representable: {exc}") from None
 
     @cached_property
     def _table(self):
         """(starts, start_derivs, start_values, end, end_value, end_deriv)."""
-        starts: list[float] = []
-        derivs: list[float] = []
-        values: list[float] = []
-        x, val, d = 0.0, 0.0, 0.0
-        for p in self.pieces:
-            d += p.jump
-            starts.append(x)
-            derivs.append(d)
-            values.append(val)
-            if p.width is not None:
-                val += d * p.width + 0.5 * p.slope * p.width**2
-                d += p.slope * p.width
-                x += p.width
-        end = x if self.bounded else math.inf
-        return tuple(starts), tuple(derivs), tuple(values), end, val, d
+        return _piece_table(self.pieces, self.bounded)
 
     @property
     def finite_valued(self):  # type: ignore[override]
@@ -587,28 +542,7 @@ class PiecewiseGenerator(OrliczGenerator):
         return out
 
     def analytic_conjugate(self):
-        conj: list[Piece] = []
-        pending = 0.0
-        d0 = self.pieces[0].jump
-        if d0 > 0:
-            conj.append(Piece(d0, 0.0, 0.0))
-        conj_bounded = False
-        for j, p in enumerate(self.pieces):
-            if j >= 1 and p.jump > 0:
-                conj.append(Piece(p.jump, pending, 0.0))
-                pending = 0.0
-            if p.slope > 0:
-                width = None if p.width is None else p.slope * p.width
-                conj.append(Piece(width, pending, 1.0 / p.slope))
-                pending = 0.0
-            else:
-                if p.width is None:
-                    conj_bounded = True
-                else:
-                    pending += p.width
-        if self.bounded:
-            conj.append(Piece(None, pending, 0.0))
-        return PiecewiseGenerator(tuple(conj), bounded=conj_bounded)
+        return PiecewiseGenerator(*_conjugate_pieces(self.pieces, self.bounded))
 
     def delta2_profile(self):
         if self.bounded:
@@ -630,6 +564,78 @@ class PiecewiseGenerator(OrliczGenerator):
                 if seg_end > n:
                     return starts[j] + (n - derivs[j]) / p.slope
         return end
+
+
+def _piece_table(pieces: tuple[Piece, ...], bounded: bool):
+    starts: list[float] = []
+    derivs: list[float] = []
+    values: list[float] = []
+    x, val, d = 0.0, 0.0, 0.0
+    for p in pieces:
+        d += p.jump
+        starts.append(x)
+        derivs.append(d)
+        values.append(val)
+        if p.width is not None:
+            val += d * p.width + 0.5 * p.slope * p.width**2
+            d += p.slope * p.width
+            x += p.width
+    end = x if bounded else math.inf
+    return tuple(starts), tuple(derivs), tuple(values), end, val, d
+
+
+def _check_pieces(pieces: tuple[Piece, ...], bounded: bool) -> None:
+    """ValueError unless the pieces define a generator whose piece table
+    holds them: finite values and derivatives at every piece start and at the
+    end, and starts that strictly increase (no width lost to rounding)."""
+    if not pieces:
+        raise ValueError("need at least one piece")
+    for i, p in enumerate(pieces):
+        if not (0.0 <= p.jump < math.inf and 0.0 <= p.slope < math.inf):
+            raise ValueError(f"piece {i}: jumps and slopes must be finite and >= 0")
+        if p.width is not None and not 0.0 < p.width < math.inf:
+            raise ValueError(f"piece {i}: width must be finite and > 0")
+        if p.width is None and i != len(pieces) - 1:
+            raise ValueError("only the final piece may be unbounded")
+    if (pieces[-1].width is None) == bounded:
+        raise ValueError("the final piece needs a width exactly when phi is bounded")
+    try:
+        starts, derivs, values, end, end_value, end_deriv = _piece_table(pieces, bounded)
+        xs = (*starts, end) if bounded else starts
+        holds = all(map(math.isfinite, (*xs, *derivs, *values, end_value, end_deriv)))
+        holds = holds and all(map(operator.lt, xs, xs[1:]))
+    except OverflowError:  # a width**2 past the float range
+        holds = False
+    if not holds:
+        raise ValueError("the piece table leaves the float range or loses a piece to rounding")
+    if not bounded and end_deriv == 0.0 and pieces[-1].slope == 0.0:
+        raise ValueError("phi must eventually grow (phi(inf) = inf)")
+
+
+def _conjugate_pieces(pieces: tuple[Piece, ...], bounded: bool):
+    """(pieces, bounded) of the convex conjugate."""
+    conj: list[Piece] = []
+    pending = 0.0
+    d0 = pieces[0].jump
+    if d0 > 0:
+        conj.append(Piece(d0, 0.0, 0.0))
+    conj_bounded = False
+    for j, p in enumerate(pieces):
+        if j >= 1 and p.jump > 0:
+            conj.append(Piece(p.jump, pending, 0.0))
+            pending = 0.0
+        if p.slope > 0:
+            width = None if p.width is None else p.slope * p.width
+            conj.append(Piece(width, pending, 1.0 / p.slope))
+            pending = 0.0
+        else:
+            if p.width is None:
+                conj_bounded = True
+            else:
+                pending += p.width
+    if bounded:
+        conj.append(Piece(None, pending, 0.0))
+    return tuple(conj), conj_bounded
 
 
 def _estimate_doubling_constant(gen: OrliczGenerator, t: float, f: float) -> float:

@@ -13,7 +13,8 @@ linear {[slope]}, indicator {c}, plq {pieces: [{[width], jump, slope}, ...],
 [bounded]}.  Any family also takes an optional "truncate": n > 0, which caps
 its derivative at n (truncate(phi, n)).  Per-atom parameter arrays must match
 the atom count.  Every number must be finite: NaN and Infinity, which JSON
-parsers accept, are input errors.
+parsers accept, are input errors, and so are parameters a family's
+constructor rejects.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .generators import (
     VariableExponentGenerator,
     XLogXGenerator,
     truncate,
-    validate_generator,
 )
 from .space import GridMeasureSpace, SimpleFunction
 
@@ -133,8 +133,9 @@ def instance_digest(raw: dict) -> str:
 
 
 def parse_instance(path: str | Path) -> Instance:
-    """Read, build and validate an instance; raises InstanceError with the
-    offending atom or field on any problem."""
+    """Read and build an instance; raises InstanceError with the offending
+    atom or field on any problem.  The family constructors check the
+    generator parameters exactly; nothing is re-checked by sampling."""
     path = Path(path)
     try:
         raw = json.loads(path.read_text())
@@ -180,10 +181,4 @@ def parse_instance(path: str | Path) -> Instance:
             )
         functions[name] = SimpleFunction.on(space, _finite_list(values, f"function '{name}'"))
 
-    violations = validate_generator(gen, space)
-    if violations:
-        first = violations[0]
-        raise InstanceError(
-            f"generator fails validation: {first.check} at t = {first.t} ({first.detail})"
-        )
     return Instance(space, gen, functions, instance_digest(raw))

@@ -1,0 +1,56 @@
+"""Every built-in family at extreme parameter values, with and without
+truncation: each instance file ends in a documented exit code (0, 2 or 3),
+never in a traceback.  Parameters a closed form cannot hold are rejected by
+the family's constructor (exit 2); overflow during evaluation saturates."""
+
+import json
+
+import pytest
+
+from monorm.cli import run
+
+VALUES = [5e-324, 1e-300, 1e-9, 1.0 + 2.0**-52, 1.0001, 1.5, 1e9, 1e154, 1e300, 1.7e308]
+
+
+def _family_specs(x: float) -> list[dict]:
+    return [
+        {"family": "power", "p": x},
+        {"family": "varexp", "p_values": [x, 2.0]},
+        {"family": "varexp", "p_values": [1.5, 2.0], "c_values": [x, 1.0]},
+        {"family": "expminusone"},
+        {"family": "xlogx"},
+        {"family": "linear", "slope": x},
+        {"family": "indicator", "c": x},
+        {
+            "family": "plq",
+            "pieces": [{"width": x, "jump": 0.0, "slope": 1.0}, {"jump": 1.0, "slope": 0.0}],
+        },
+        {
+            "family": "plq",
+            "pieces": [{"width": 1.0, "jump": x, "slope": 1.0}, {"jump": 1.0, "slope": x}],
+        },
+        {
+            "family": "plq",
+            "pieces": [
+                {"width": 1.0, "jump": 0.0, "slope": x},
+                {"width": x, "jump": 1.0, "slope": 0.5},
+            ],
+            "bounded": True,
+        },
+    ]
+
+
+@pytest.mark.parametrize("x", VALUES)
+def test_extreme_parameters_map_to_exit_codes(tmp_path, capsys, x):
+    path = tmp_path / "inst.json"
+    for spec in _family_specs(x):
+        for phi in (spec, dict(spec, truncate=x)):
+            path.write_text(json.dumps({
+                "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
+                "phi": phi,
+                "functions": {"u1": [1.0, 2.0]},
+            }))
+            for argv in (["norm", "--function", "u1"], ["smooth-space"]):
+                code = run([argv[0], "--instance", str(path), *argv[1:], "--json"])
+                assert code in (0, 2, 3), (argv[0], phi, capsys.readouterr().err)
+            capsys.readouterr()

@@ -1,11 +1,11 @@
 import json
 
 from monorm.cli import run
-from monorm.gallery import GalleryConfig, gallery_report
+from monorm.gallery import gallery_report
 
 
 def test_gallery_trend():
-    report = gallery_report(GalleryConfig(resolutions=(256, 1024, 4096)))
+    report = gallery_report((256, 1024, 4096))
     ladder = report["ladder"]
     assert [e["resolution"] for e in ladder] == [256, 1024, 4096]
 

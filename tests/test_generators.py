@@ -13,6 +13,8 @@ from monorm import (
     PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
+    VariableExponentGenerator,
+    XLogXGenerator,
     generator_bounds,
     modular,
     subdiff,
@@ -217,6 +219,72 @@ def test_plq_validation():
     with pytest.raises(ValueError):
         # bounded needs a final width
         PiecewiseGenerator((Piece(None, 1.0, 0.0),), bounded=True)
+
+
+@pytest.mark.parametrize(
+    "p_values, c_values",
+    [
+        ([1.0, 2.0], None),
+        ([0.5, 2.0], None),
+        ([math.nan, 2.0], None),
+        ([math.inf, 2.0], None),
+        ([2.0, 2.0], [0.0, 1.0]),
+        ([2.0, 2.0], [-1.0, 1.0]),
+        ([2.0, 2.0], [math.nan, 1.0]),
+        ([2.0, 2.0], [math.inf, 1.0]),
+        ([2.0], None),
+        ([2.0, 2.0, 2.0], None),
+        ([2.0, 2.0], [1.0]),
+        # the conjugate coefficient (cp)**(-1/(p-1)) overflows
+        ([1.0001, 2.0], [0.5, 1.0]),
+    ],
+)
+def test_varexp_constructor_rejects(two_atoms, p_values, c_values):
+    with pytest.raises(ValueError):
+        VariableExponentGenerator.from_values(two_atoms, p_values, c_values)
+
+
+def test_varexp_is_defined_exactly_at_its_coordinates(two_atoms):
+    gen = VariableExponentGenerator.from_values(two_atoms, [2.0, 3.0], [1.0, 0.5])
+    t0, t1 = two_atoms.coords
+    assert gen.phi(t0, 2.0) == 4.0 and gen.phi(t1, 2.0) == 4.0
+    for t in (0.0, 0.5, t0 + 1e-15, t1 - 1e-15):
+        with pytest.raises(DomainError):
+            gen.phi(t, 1.0)
+        with pytest.raises(DomainError):
+            gen.right_deriv(t, 1.0)
+
+
+@pytest.mark.parametrize("p", [1.0, math.nan, math.inf, 1e300])
+def test_power_constructor_rejects(p):
+    # from about 2**53 on, the conjugate exponent p/(p-1) rounds to 1
+    with pytest.raises(ValueError):
+        PowerGenerator(p)
+
+
+@pytest.mark.parametrize(
+    "pieces, bounded",
+    [
+        ((Piece(1e200, 0.0, 1.0), Piece(None, 1.0, 0.0)), False),  # width**2 overflows
+        ((Piece(0.5, 0.0, 5e-324), Piece(None, 1.0, 0.0)), False),  # conjugate slope 1/s
+        ((Piece(1.0, 0.0, 1.0), Piece(1e-300, 1.0, 0.0)), True),  # 1 + 1e-300 == 1
+        ((Piece(math.inf, 0.0, 1.0), Piece(None, 1.0, 0.0)), False),
+        ((Piece(1.0, math.nan, 1.0), Piece(None, 1.0, 0.0)), False),
+    ],
+)
+def test_plq_constructor_rejects_what_the_table_cannot_hold(pieces, bounded):
+    with pytest.raises(ValueError):
+        PiecewiseGenerator(pieces, bounded=bounded)
+
+
+def test_overflow_during_evaluation_saturates(two_atoms):
+    t = two_atoms.coords[0]
+    varexp = VariableExponentGenerator.from_values(two_atoms, [1.0001, 2.0])
+    assert PowerGenerator(1.0001).derivative_threshold(t, 1.5) == math.inf
+    assert varexp.derivative_threshold(t, 1.5) == math.inf
+    assert XLogXGenerator().derivative_threshold(t, 1e9) == math.inf
+    assert PowerGenerator(1e9).delta2_profile().constant == math.inf
+    assert truncate(XLogXGenerator(), 1e9).phi(t, 1e300) == XLogXGenerator().phi(t, 1e300)
 
 
 def test_plq_matches_named_families():

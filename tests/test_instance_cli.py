@@ -59,6 +59,15 @@ def test_parse_shape_error(tmp_path):
         parse_instance(_write(tmp_path, payload))
 
 
+def test_varexp_exponent_one_is_an_input_error(tmp_path, capsys):
+    payload = dict(INSTANCE, phi={"family": "varexp", "p_values": [1.0, 2.0]})
+    path = _write(tmp_path, payload)
+    with pytest.raises(InstanceError, match="p > 1"):
+        parse_instance(path)
+    assert run(["norm", "--instance", path, "--function", "u1"]) == 2
+    assert "p > 1" in capsys.readouterr().err
+
+
 def test_parse_function_length(tmp_path):
     payload = dict(INSTANCE, functions={"u1": [1.0]})
     with pytest.raises(InstanceError, match="u1"):
