@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .conjugate import conjugate
 from .errors import DomainError, PreconditionError
 from .generators import OrliczGenerator, modular, weighted_sum
-from .solvers import monotone_boundary
+from .solvers import BISECT_REL_TOL, monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = [
@@ -178,8 +178,10 @@ def orlicz_amemiya_norm(
     """The Orlicz norm via the Amemiya expression, together with K(u).
 
     On the non-degenerate branch the quotient is evaluated at the bisected
-    k* (probing both bracket ends, since the modular may jump to infinity
-    across the true minimizer)."""
+    k* and just outside both ends of its bracket, since the modular may jump
+    to infinity across the true minimizer.  The quotient is monotone on
+    either side of the minimizer set, so no probe farther from the bracket
+    could do better."""
     if u.is_zero():
         return 0.0, KSetDegenerate(0.0)
     ks = k_interval(gen, space, u)
@@ -187,9 +189,9 @@ def orlicz_amemiya_norm(
         return ks.l1_value, ks
     best = math.inf
     for k in (
-        ks.k_star * (1.0 - K_WIDEN_REL),
+        ks.k_star * (1.0 - BISECT_REL_TOL),
         ks.k_star,
-        ks.k_star * (1.0 + K_WIDEN_REL),
+        ks.k_star * (1.0 + BISECT_REL_TOL),
     ):
         val = _amemiya_objective(gen, space, u, k)
         if val < best:
