@@ -51,10 +51,10 @@ class DualDensity:
     s_norm: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.s_norm < 0:
-            raise ValueError("singular mass must be >= 0")
+        if not self.s_norm >= 0:
+            raise PreconditionError(f"singular mass must be >= 0, got {self.s_norm}")
         if any(math.isnan(x) or math.isinf(x) for x in self.v.values):
-            raise ValueError("density values must be finite")
+            raise PreconditionError("density values must be finite")
 
 
 def _check_oracle_args(space: GridMeasureSpace, resolution: int) -> None:
@@ -349,8 +349,6 @@ def dual_functional_norm(
         inf{lambda > 0 : I*(v/lambda) + s/lambda <= 1}.
 
     With s = 0 this is the Luxemburg norm of v under the conjugate."""
-    if d.s_norm < 0:
-        raise PreconditionError("singular mass must be >= 0")
     conj = conjugate(gen)
     if d.v.is_zero() and d.s_norm == 0.0:
         return 0.0

@@ -219,10 +219,12 @@ def test_dual_norm_matches_luxemburg_of_conjugate():
 
 
 def test_density_must_be_finite(two_atoms):
-    with pytest.raises(ValueError):
+    # PreconditionError is a MonormError, so the CLI exits 2 on these
+    with pytest.raises(PreconditionError):
         DualDensity(SimpleFunction.on(two_atoms, (1.0, math.inf)), 0.0)
-    with pytest.raises(ValueError):
-        DualDensity(SimpleFunction.on(two_atoms, (1.0, 1.0)), -0.1)
+    for s_norm in (-0.1, math.nan):
+        with pytest.raises(PreconditionError):
+            DualDensity(SimpleFunction.on(two_atoms, (1.0, 1.0)), s_norm)
 
 
 def test_truncated_sequence_oracle(two_atoms):
