@@ -81,8 +81,7 @@ def _norm_entry(inst: Instance, name: str) -> dict:
     return entry
 
 
-def _cmd_norm(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_norm(args, inst: Instance) -> dict:
     names = sorted(inst.functions) if args.function == "all" else [args.function]
     results = {}
     for name in names:
@@ -93,11 +92,10 @@ def _cmd_norm(args) -> dict:
                 keep = {"luxemburg"}
             entry = {k: v for k, v in entry.items() if k in keep}
         results[name] = entry
-    return {"digest": inst.digest, "functions": results}
+    return {"functions": results}
 
 
-def _cmd_conjugate(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_conjugate(args, inst: Instance) -> dict:
     if not 0 <= args.atom < len(inst.space):
         raise MonormError(f"atom index {args.atom} out of range")
     t = inst.space.coords[args.atom]
@@ -108,7 +106,6 @@ def _cmd_conjugate(args) -> dict:
         v = args.v_max * j / max(1, args.points - 1)
         table.append({"v": v, "phi_star": conj.phi(t, v)})
     return {
-        "digest": inst.digest,
         "atom": args.atom,
         "t": t,
         "zero_bound": a,
@@ -117,27 +114,23 @@ def _cmd_conjugate(args) -> dict:
     }
 
 
-def _cmd_dual(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_dual(args, inst: Instance) -> dict:
     v = _function(inst, args.density)
     d = DualDensity(v, args.singular)
     return {
-        "digest": inst.digest,
         "density": args.density,
         "singular": args.singular,
         "norm": dual_functional_norm(inst.phi, inst.space, d),
     }
 
 
-def _cmd_oracle(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_oracle(args, inst: Instance) -> dict:
     u = _function(inst, args.function)
     orl_bf = orlicz_norm_bruteforce(inst.phi, inst.space, u, args.resolution)
     lux_bf = luxemburg_norm_bruteforce(inst.phi, inst.space, u, args.resolution)
     lux = luxemburg_norm(inst.phi, inst.space, u)
     orl, _ = orlicz_amemiya_norm(inst.phi, inst.space, u)
     return {
-        "digest": inst.digest,
         "function": args.function,
         "resolution": args.resolution,
         "orlicz": orl,
@@ -149,15 +142,13 @@ def _cmd_oracle(args) -> dict:
     }
 
 
-def _cmd_support(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_support(args, inst: Instance) -> dict:
     u = _function(inst, args.function)
     sf = construct_support_functional(inst.phi, inst.space, u, eps_eq=args.eps_eq)
     report = verify_support_functional(
         inst.phi, inst.space, u, DualDensity(sf.density, sf.s_norm), eps_eq=args.eps_eq
     )
     return {
-        "digest": inst.digest,
         "function": args.function,
         "density": list(sf.density.values),
         "s_norm": sf.s_norm,
@@ -178,12 +169,10 @@ def _cmd_support(args) -> dict:
     }
 
 
-def _cmd_smooth_point(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_smooth_point(args, inst: Instance) -> dict:
     u = _function(inst, args.function)
     rep = classify_smooth_point(inst.phi, inst.space, u, eps_eq=args.eps_eq)
     return {
-        "digest": inst.digest,
         "function": args.function,
         "smooth": rep.smooth,
         "branch": rep.branch,
@@ -198,11 +187,9 @@ def _cmd_smooth_point(args) -> dict:
     }
 
 
-def _cmd_smooth_space(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_smooth_space(args, inst: Instance) -> dict:
     rep = check_space_smoothness(inst.phi, inst.space)
     return {
-        "digest": inst.digest,
         "smooth": rep.smooth,
         "conditions": {
             "a": {"passed": rep.cond_a.passed, "name": rep.cond_a.name},
@@ -213,14 +200,12 @@ def _cmd_smooth_space(args) -> dict:
     }
 
 
-def _cmd_delta2(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_delta2(args, inst: Instance) -> dict:
     f = _function(inst, args.f_function) if args.f_function else args.f_const
     verdict = delta2_check(
         inst.phi, inst.space, args.K, f, u_max=args.horizon
     )
     out = {
-        "digest": inst.digest,
         "K": args.K,
         "holds_on_sample": verdict.holds,
         "checked": verdict.checked,
@@ -237,23 +222,16 @@ def _cmd_delta2(args) -> dict:
     return out
 
 
-def _cmd_gap(args) -> dict:
-    inst = parse_instance(args.instance)
+def _cmd_gap(args, inst: Instance) -> dict:
     prof = smoothness_gap_function(inst.phi, inst.space, args.delta)
     return {
-        "digest": inst.digest,
         "delta": args.delta,
         "locations": list(prof.locations),
         "finite_mask": list(prof.finite_mask),
     }
 
 
-def _cmd_gallery(args) -> dict:
-    ladder = tuple(int(x) for x in args.ladder.split(","))
-    return gallery_report(ladder)
-
-
-def _cmd_selftest(args) -> dict:
+def _cmd_selftest(args, inst: None) -> dict:
     from .selfcheck import run_all
 
     results = run_all(verbose=not args.json)
@@ -265,6 +243,66 @@ def _cmd_selftest(args) -> dict:
     return report
 
 
+# argument types: argparse reports their ValueError as "invalid <name> value"
+def finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(text)
+    return value
+
+
+def ladder(text: str) -> tuple[int, ...]:
+    values = tuple(int(x) for x in text.split(","))
+    if min(values) < 1:
+        raise ValueError(text)
+    return values
+
+
+def _cmd_gallery(args, inst: None) -> dict:
+    return gallery_report(args.ladder)
+
+
+_FUNCTION = {"--function": {"required": True}}
+
+#: name -> (handler, help, whether it reads --instance, its other arguments as
+#: flag -> add_argument keywords); every subcommand also takes --json
+COMMANDS = {
+    "norm": (_cmd_norm, "Luxemburg/Orlicz/Amemiya norms and theta", True, {
+        "--function": {"required": True, "help": "function name or 'all'"},
+        "--which": {"choices": ["luxemburg", "orlicz", "amemiya", "all"], "default": "all"},
+    }),
+    "conjugate": (_cmd_conjugate, "table of conjugate values at one atom", True, {
+        "--atom": {"type": int, "default": 0},
+        "--v-max": {"type": finite, "default": 4.0},
+        "--points": {"type": int, "default": 9},
+    }),
+    "dual": (_cmd_dual, "norm of a dual functional (density + singular mass)", True, {
+        "--density": {"required": True},
+        "--singular": {"type": finite, "default": 0.0},
+    }),
+    "oracle": (_cmd_oracle, "brute-force dual-norm oracles vs analytic values", True, {
+        **_FUNCTION,
+        "--resolution": {"type": int, "default": 400},
+    }),
+    "support": (_cmd_support, "construct and verify a support functional", True, _FUNCTION),
+    "smooth-point": (_cmd_smooth_point, "classify a smooth point", True, _FUNCTION),
+    "smooth-space": (_cmd_smooth_space, "space smoothness criterion", True, {}),
+    "delta2": (_cmd_delta2, "sampled doubling-condition check", True, {
+        "--K": {"type": finite, "required": True},
+        "--f-const": {"type": finite, "default": 0.0},
+        "--f-function": {"default": None},
+        "--horizon": {"type": finite, "default": 16.0},
+    }),
+    "gap": (_cmd_gap, "first derivative-gap location per atom", True, {
+        "--delta": {"type": finite, "required": True},
+    }),
+    "gallery": (_cmd_gallery, "variable-exponent divergence gallery", False, {
+        "--ladder": {"type": ladder, "default": "256,1024,4096"},
+    }),
+    "selftest": (_cmd_selftest, "run the acceptance criteria", False, {}),
+}
+
+
 def _render_text(report: dict, indent: int = 0) -> str:
     lines = []
     pad = "  " * indent
@@ -273,98 +311,56 @@ def _render_text(report: dict, indent: int = 0) -> str:
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
-        elif isinstance(value, list):
-            lines.append(f"{pad}{key}: {value}")
         else:
             lines.append(f"{pad}{key}: {value}")
     return "\n".join(lines)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None) -> argparse.ArgumentParser:
+    """Every subcommand with its help; only `command`'s gets its arguments,
+    since argparse reads no others and each costs a help formatter."""
     parser = argparse.ArgumentParser(
         prog="monorm",
         description="Musielak-Orlicz norm computations on grid instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kwargs):
-        p = sub.add_parser(name, **kwargs)
-        p.set_defaults(fn=fn)
+    for name, (_, help_text, takes_instance, arguments) in COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name != command:
+            continue
         p.add_argument("--json", action="store_true", help="emit a JSON report")
-        return p
-
-    p = add("norm", _cmd_norm, help="Luxemburg/Orlicz/Amemiya norms and theta")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--function", required=True, help="function name or 'all'")
-    p.add_argument(
-        "--which",
-        choices=["luxemburg", "orlicz", "amemiya", "all"],
-        default="all",
-    )
-
-    p = add("conjugate", _cmd_conjugate, help="table of conjugate values at one atom")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--atom", type=int, default=0)
-    p.add_argument("--v-max", type=float, default=4.0)
-    p.add_argument("--points", type=int, default=9)
-
-    p = add("dual", _cmd_dual, help="norm of a dual functional (density + singular mass)")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--density", required=True)
-    p.add_argument("--singular", type=float, default=0.0)
-
-    p = add("oracle", _cmd_oracle, help="brute-force dual-norm oracles vs analytic values")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--function", required=True)
-    p.add_argument("--resolution", type=int, default=400)
-
-    p = add("support", _cmd_support, help="construct and verify a support functional")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--function", required=True)
-
-    p = add("smooth-point", _cmd_smooth_point, help="classify a smooth point")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--function", required=True)
-
-    p = add("smooth-space", _cmd_smooth_space, help="space smoothness criterion")
-    p.add_argument("--instance", required=True)
-
-    p = add("delta2", _cmd_delta2, help="sampled doubling-condition check")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--K", type=float, required=True)
-    p.add_argument("--f-const", type=float, default=0.0)
-    p.add_argument("--f-function", default=None)
-    p.add_argument("--horizon", type=float, default=16.0)
-
-    p = add("gap", _cmd_gap, help="first derivative-gap location per atom")
-    p.add_argument("--instance", required=True)
-    p.add_argument("--delta", type=float, required=True)
-
-    p = add("gallery", _cmd_gallery, help="variable-exponent divergence gallery")
-    p.add_argument("--ladder", default="256,1024,4096")
-
-    p = add("selftest", _cmd_selftest, help="run the acceptance criteria")
+        if takes_instance:
+            p.add_argument("--instance", required=True)
+        for flag, kwargs in arguments.items():
+            p.add_argument(flag, **kwargs)
     return parser
 
 
 def run(argv) -> int:
     """Dispatch a command line; returns the exit code and prints the report."""
-    parser = build_parser()
+    # the top-level parser has no option that takes a value, so its first
+    # positional argument is the subcommand name
+    command = next((a for a in argv if not a.startswith("-")), None)
     try:
-        args = parser.parse_args(argv)
+        args = build_parser(command).parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    handler, _, takes_instance, _ = COMMANDS[args.command]
+    report = {"command": args.command}
     started = time.perf_counter()
     try:
         args.eps_eq = _eps_eq()
-        report = args.fn(args)
+        inst = None
+        if takes_instance:
+            inst = parse_instance(args.instance)
+            report["digest"] = inst.digest
+        report.update(handler(args, inst))
     except BracketError as exc:
         print(f"numerical bracket failure: {exc}", file=sys.stderr)
         return 3
     except MonormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    report = {"command": args.command, **report}
     if args.json:
         print(to_json(report))
     else:

@@ -304,6 +304,51 @@ def test_instance_corpus_exit_codes(name, capsys):
     assert code == EXIT_CODES[name], capsys.readouterr().err
 
 
+HELP = json.loads((DATA / "cli_help.json").read_text())
+
+
+@pytest.mark.parametrize("case", HELP, ids=[" ".join(c["argv"]) or "-" for c in HELP])
+def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
+    # the reference texts were printed when every subparser was built with all
+    # its arguments; building only the invoked one must not change a byte
+    monkeypatch.setenv("COLUMNS", "80")
+    assert run(case["argv"]) == case["code"]
+    assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+#: the start of a command line that reaches each float option
+_OPTION_COMMANDS = {
+    "--v-max": ["conjugate"],
+    "--singular": ["dual", "--density", "v1"],
+    "--K": ["delta2"],
+    "--f-const": ["delta2", "--K", "4"],
+    "--horizon": ["delta2", "--K", "4"],
+    "--delta": ["gap"],
+}
+BAD_VALUES = {
+    **{
+        f"{flag}={value}": [*argv, f"{flag}={value}"]
+        for flag, argv in _OPTION_COMMANDS.items()
+        for value in ("nan", "inf", "-inf")
+    },
+    "--singular=-1": ["dual", "--density", "v1", "--singular=-1"],
+    **{
+        f"--ladder={value}": ["gallery", f"--ladder={value}"]
+        for value in ("abc", "0", "-3", "", "256,,1024", "2.5")
+    },
+}
+
+
+@pytest.mark.parametrize("name", list(BAD_VALUES))
+def test_bad_option_values_are_input_errors(name, tmp_path, capsys):
+    argv = BAD_VALUES[name]
+    if argv[0] != "gallery":
+        payload = dict(INSTANCE, functions={**INSTANCE["functions"], "v1": [0.5, -1.0]})
+        argv = argv[:1] + ["--instance", _write(tmp_path, payload)] + argv[1:]
+    assert run(argv) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_truncate_field_builds_truncated_generator(tmp_path):
     payload = dict(INSTANCE, phi={"family": "power", "p": 2.0, "truncate": 3.0})
     inst = parse_instance(_write(tmp_path, payload))
