@@ -153,9 +153,9 @@ class OrliczGenerator:
     def finite_bound(self, t: float) -> float:
         return math.inf
 
-    def delta2_profile(self) -> Optional[Delta2Profile]:
-        """A (K, f) pair for the doubling condition, or None if the family
-        does not satisfy it."""
+    def delta2_profile(self, coords: Sequence[float]) -> Optional[Delta2Profile]:
+        """A (K, f) pair for the doubling condition at the atoms at coords,
+        or None if the family does not satisfy it."""
         return None
 
     # -- to be provided by families -------------------------------------------
@@ -220,7 +220,7 @@ class PowerGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self):
+    def delta2_profile(self, coords):
         return Delta2Profile(_pow(2.0, self.p))
 
     def derivative_threshold(self, t, n):
@@ -299,7 +299,7 @@ class VariableExponentGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self):
+    def delta2_profile(self, coords):
         return Delta2Profile(_pow(2.0, max(self.exponent)))
 
     def derivative_threshold(self, t, n):
@@ -355,7 +355,7 @@ class XLogXGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self):
+    def delta2_profile(self, coords):
         # phi(2v)/phi(v) decreases from 4 (v -> 0) to 2 (v -> inf)
         return Delta2Profile(4.0)
 
@@ -390,7 +390,7 @@ class LinearGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return [(0.0, 0.0, self.slope)]
 
-    def delta2_profile(self):
+    def delta2_profile(self, coords):
         return Delta2Profile(2.0)
 
     def derivative_threshold(self, t, n):
@@ -544,13 +544,9 @@ class PiecewiseGenerator(OrliczGenerator):
     def analytic_conjugate(self):
         return PiecewiseGenerator(*_conjugate_pieces(self.pieces, self.bounded))
 
-    def delta2_profile(self):
-        if self.bounded:
-            return None
-        a = self.zero_bound(0.0)
-        f = 1.25 * a if a > 0 else 0.0
-        k = _estimate_doubling_constant(self, 0.0, f)
-        return Delta2Profile(k, f)
+    def delta2_profile(self, coords):
+        # the pieces do not depend on t, so one atom stands for all
+        return None if self.bounded else _sampled_delta2_profile(self, coords[:1])
 
     def derivative_threshold(self, t, n):
         starts, derivs, _, end, _, end_deriv = self._table
@@ -638,21 +634,24 @@ def _conjugate_pieces(pieces: tuple[Piece, ...], bounded: bool):
     return tuple(conj), conj_bounded
 
 
-def _estimate_doubling_constant(gen: OrliczGenerator, t: float, f: float) -> float:
-    """Sampled sup of phi(t,2u)/phi(t,u) over u >= f, with a safety margin."""
+def _sampled_delta2_profile(gen: OrliczGenerator, coords: Sequence[float]) -> Delta2Profile:
+    """Sampled sup of phi(t,2u)/phi(t,u) over the atoms at coords and
+    u >= f = 1.25 max a(t), with a safety margin."""
+    f = 1.25 * max(gen.zero_bound(t) for t in coords)
     lo = max(f, 1e-6)
     hi = 1e5 * (1.0 + lo)
     worst = 2.0
     steps = 240
     ratio_step = (hi / lo) ** (1.0 / steps)
-    u = lo
-    for _ in range(steps + 1):
-        den = gen.phi(t, u)
-        num = gen.phi(t, 2.0 * u)
-        if math.isfinite(den) and den > 0 and math.isfinite(num):
-            worst = max(worst, num / den)
-        u *= ratio_step
-    return worst * 1.02
+    for t in coords:
+        u = lo
+        for _ in range(steps + 1):
+            den = gen.phi(t, u)
+            num = gen.phi(t, 2.0 * u)
+            if math.isfinite(den) and den > 0 and math.isfinite(num):
+                worst = max(worst, num / den)
+            u *= ratio_step
+    return Delta2Profile(worst * 1.02, f)
 
 
 # ---------------------------------------------------------------------------
@@ -709,10 +708,8 @@ class TruncatedGenerator(OrliczGenerator):
                 out.append((x, lo2, hi2))
         return out
 
-    def delta2_profile(self):
-        a = self.zero_bound(0.0)
-        f = 1.25 * a if a > 0 else 0.0
-        return Delta2Profile(_estimate_doubling_constant(self, 0.0, f), f)
+    def delta2_profile(self, coords):
+        return _sampled_delta2_profile(self, coords)
 
     def derivative_threshold(self, t, n):
         if n >= self.n:

@@ -539,7 +539,7 @@ def check_space_smoothness(
         "conjugate_infinite_at_bound", 1.0 if a_ok else 0.0, 1.0, a_ok
     )
 
-    profile = gen.delta2_profile()
+    profile = gen.delta2_profile(space.coords)
     if profile is not None:
         verdict = delta2_check(
             gen, space, profile.constant, profile.threshold, samples=DELTA2_SAMPLES

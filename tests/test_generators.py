@@ -283,7 +283,7 @@ def test_overflow_during_evaluation_saturates(two_atoms):
     assert PowerGenerator(1.0001).derivative_threshold(t, 1.5) == math.inf
     assert varexp.derivative_threshold(t, 1.5) == math.inf
     assert XLogXGenerator().derivative_threshold(t, 1e9) == math.inf
-    assert PowerGenerator(1e9).delta2_profile().constant == math.inf
+    assert PowerGenerator(1e9).delta2_profile((0.5,)).constant == math.inf
     assert truncate(XLogXGenerator(), 1e9).phi(t, 1e300) == XLogXGenerator().phi(t, 1e300)
 
 
