@@ -7,7 +7,10 @@ import json
 
 import pytest
 
+from monorm import GridMeasureSpace, conjugate, validate_generator
 from monorm.cli import run
+from monorm.errors import InstanceError
+from monorm.instance import build_generator
 
 VALUES = [5e-324, 1e-300, 1e-9, 1.0 + 2.0**-52, 1.0001, 1.5, 1e9, 1e154, 1e300, 1.7e308]
 
@@ -54,3 +57,20 @@ def test_extreme_parameters_map_to_exit_codes(tmp_path, capsys, x):
                 code = run([argv[0], "--instance", str(path), *argv[1:], "--json"])
                 assert code in (0, 2, 3), (argv[0], phi, capsys.readouterr().err)
             capsys.readouterr()
+
+
+def test_built_generators_and_conjugates_validate_clean():
+    # the sampled validator's checks hold at every scale the constructors accept
+    space = GridMeasureSpace((0.25, 0.75), (0.5, 0.5))
+    built = 0
+    for x in VALUES:
+        for spec in _family_specs(x):
+            for phi in (spec, dict(spec, truncate=x)):
+                try:
+                    gen = build_generator(phi, space)
+                except InstanceError:
+                    continue
+                built += 1
+                assert validate_generator(gen, space) == [], phi
+                assert validate_generator(conjugate(gen), space) == [], phi
+    assert built == 144

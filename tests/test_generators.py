@@ -210,6 +210,29 @@ def test_validator_rejects_nan_and_negative(two_atoms, broken, out):
     assert any(v.check == "nan_or_negative" for v in violations), violations
 
 
+class _JumpAtOrigin(OrliczGenerator):
+    """0 at u = 0 and c + u beyond: phi(t, 0+) = c > 0."""
+
+    family = "jump-test"
+
+    def __init__(self, c: float):
+        self.c = c
+
+    def _phi(self, t, u):
+        return self.c + u if u > 0 else 0.0
+
+    def _left(self, t, u):
+        return 1.0
+
+    _right = _left
+
+
+@pytest.mark.parametrize("c", [1e-12, 1.0, 1e12])
+def test_validator_flags_a_jump_at_the_origin(two_atoms, c):
+    violations = validate_generator(_JumpAtOrigin(c), two_atoms)
+    assert any(v.check == "limit_at_origin" for v in violations), violations
+
+
 def test_plq_validation():
     with pytest.raises(ValueError):
         PiecewiseGenerator(())
