@@ -56,6 +56,9 @@ __all__ = [
     "CheckResult",
     "CRITERIA",
     "run_all",
+    "kink_linear",
+    "kink_quadratic",
+    "plateau",
     "random_space",
     "random_generator",
     "random_function",
@@ -71,17 +74,17 @@ class CheckResult:
     detail: str
 
 
-def _kink_linear() -> PiecewiseGenerator:
+def kink_linear() -> PiecewiseGenerator:
     """u^2/2 on [0,1], then slope 2: one derivative jump, linear tail."""
     return PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 0.0)))
 
 
-def _kink_quadratic() -> PiecewiseGenerator:
+def kink_quadratic() -> PiecewiseGenerator:
     """u^2/2 on [0,1], jump to slope 2, then curvature again: quadratic tail."""
     return PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 1.0)))
 
 
-def _plateau() -> PiecewiseGenerator:
+def plateau() -> PiecewiseGenerator:
     """Derivative x, then flat 1 on [1,2], then rising: K(u) is an interval."""
     return PiecewiseGenerator(
         (Piece(1.0, 0.0, 1.0), Piece(1.0, 0.0, 0.0), Piece(None, 0.0, 1.0))
@@ -146,8 +149,8 @@ def _gallery_instances():
         ("xlogx", XLogXGenerator(), (1.0, 2.0)),
         ("linear", LinearGenerator(1.0), (1.0, 2.0)),
         ("indicator", IndicatorGenerator(1.0), (1.0, 2.0)),
-        ("kink_linear", _kink_linear(), (1.0, 1.0)),
-        ("kink_quadratic", _kink_quadratic(), (1.0, 1.0)),
+        ("kink_linear", kink_linear(), (1.0, 1.0)),
+        ("kink_quadratic", kink_quadratic(), (1.0, 1.0)),
     ]
     return [(name, gen, sp, SimpleFunction.on(sp, vals)) for name, gen, vals in items]
 
@@ -229,8 +232,8 @@ def c04_conjugation() -> CheckResult:
         "xlogx": (XLogXGenerator(), [0.0, 1.0, 4.0]),
         "linear": (LinearGenerator(1.0), [0.0, 0.5, 1.0]),
         "indicator": (IndicatorGenerator(1.0), [0.5, 1.0]),
-        "kink_linear": (_kink_linear(), [0.0, 0.5, 1.0, 1.7]),
-        "kink_quadratic": (_kink_quadratic(), [0.0, 0.5, 1.0, 3.0]),
+        "kink_linear": (kink_linear(), [0.0, 0.5, 1.0, 1.7]),
+        "kink_quadratic": (kink_quadratic(), [0.0, 0.5, 1.0, 3.0]),
     }
     worst_res = 0.0
     for name, (gen, grid) in grids.items():
@@ -279,8 +282,8 @@ def c05_k_interval_attainment() -> CheckResult:
         (PowerGenerator(2.0), sp, SimpleFunction.on(sp, (1.0, 1.0))),
         (PowerGenerator(3.0), sp, SimpleFunction.on(sp, (1.0, 2.0))),
         (IndicatorGenerator(1.0), sp, SimpleFunction.on(sp, (1.0, 2.0))),
-        (_kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0))),
-        (_plateau(), plat_sp, SimpleFunction.on(plat_sp, (1.0, 1.0))),
+        (kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0))),
+        (plateau(), plat_sp, SimpleFunction.on(plat_sp, (1.0, 1.0))),
     ]
     worst_in = 0.0
     exterior_ok = True
@@ -345,7 +348,7 @@ def c06_duality_expressions() -> CheckResult:
     for gen, vals in [
         (PowerGenerator(2.0), (1.0, 1.0)),
         (PowerGenerator(3.0), (1.0, 2.0)),
-        (_kink_linear(), (1.0, 1.0)),
+        (kink_linear(), (1.0, 1.0)),
         (ExpMinusOneGenerator(), (1.0, 2.0)),
         (XLogXGenerator(), (0.5, 2.0)),
     ]:
@@ -375,9 +378,9 @@ def c07_support_functionals() -> CheckResult:
     cases = [
         (PowerGenerator(2.0), sp, SimpleFunction.on(sp, (1.0, 1.0))),
         (PowerGenerator(2.0), sp, SimpleFunction.on(sp, (1.0, 2.0))),
-        (_kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0))),
+        (kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0))),
         (IndicatorGenerator(1.0), sp, SimpleFunction.on(sp, (1.0, 1.0))),
-        (_plateau(), plat_sp, SimpleFunction.on(plat_sp, (1.0, 1.0))),
+        (plateau(), plat_sp, SimpleFunction.on(plat_sp, (1.0, 1.0))),
     ]
     for _ in range(40):
         space = random_space(rng, rng.randint(2, 6))
@@ -386,7 +389,7 @@ def c07_support_functionals() -> CheckResult:
                 PowerGenerator(rng.uniform(1.3, 3.0)),
                 ExpMinusOneGenerator(),
                 XLogXGenerator(),
-                _kink_quadratic(),
+                kink_quadratic(),
             ]
         )
         cases.append((gen, space, random_function(rng, space)))
@@ -422,12 +425,12 @@ def c08_classifier_vs_bruteforce() -> CheckResult:
         ("power_smooth", PowerGenerator(2.0), sp, (1.0, 1.0)),
         ("power_slope", PowerGenerator(2.0), sp, (1.0, 2.0)),
         ("power3", PowerGenerator(3.0), sp, (0.5, 2.0)),
-        ("kink_not_smooth", _kink_linear(), sp, (1.0, 1.0)),
+        ("kink_not_smooth", kink_linear(), sp, (1.0, 1.0)),
         ("linear_off_support", LinearGenerator(1.0), sp, (0.0, 2.0)),
         ("linear_full_support", LinearGenerator(1.0), sp, (1.0, 2.0)),
         ("indicator_tie", IndicatorGenerator(1.0), sp, (1.0, 1.0)),
         ("expminusone", ExpMinusOneGenerator(), sp, (1.0, 2.0)),
-        ("plateau", _plateau(), plat_sp, (1.0, 1.0)),
+        ("plateau", plateau(), plat_sp, (1.0, 1.0)),
     ]
     disagreements = []
     for name, gen, space, vals in suite:
@@ -437,7 +440,7 @@ def c08_classifier_vs_bruteforce() -> CheckResult:
         if survey.unique is None or verdict.smooth != survey.unique:
             disagreements.append(name)
     kink_ok = True
-    rep = classify_smooth_point(_kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0)))
+    rep = classify_smooth_point(kink_linear(), sp, SimpleFunction.on(sp, (1.0, 1.0)))
     if rep.witnesses is None:
         kink_ok = False
     else:
@@ -460,7 +463,7 @@ def c09_space_smoothness() -> CheckResult:
         "power3": (PowerGenerator(3.0), set()),
         "linear": (LinearGenerator(1.0), {"a", "c"}),
         "indicator": (IndicatorGenerator(1.0), {"b", "c"}),
-        "plq": (_kink_quadratic(), {"c"}),
+        "plq": (kink_quadratic(), {"c"}),
         "expminusone": (ExpMinusOneGenerator(), {"b"}),
     }
     bad = []
@@ -503,7 +506,7 @@ def c11_theta() -> CheckResult:
             ExpMinusOneGenerator(),
             XLogXGenerator(),
             LinearGenerator(1.0),
-            _kink_linear(),
+            kink_linear(),
         )
     )
     ok = abs(v - 2.0) <= 1e-10 and finite_ok

@@ -8,14 +8,13 @@ from monorm import (
     GridMeasureSpace,
     IndicatorGenerator,
     LinearGenerator,
-    Piece,
     PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
     VariableExponentGenerator,
     XLogXGenerator,
 )
-from monorm.selfcheck import random_space
+from monorm import selfcheck
 
 settings.register_profile(
     "suite",
@@ -33,24 +32,21 @@ def two_atoms() -> GridMeasureSpace:
 
 @pytest.fixture
 def kink_linear() -> PiecewiseGenerator:
-    """u^2/2 on [0,1], then slope 2: the canonical non-smooth instance."""
-    return PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 0.0)))
+    """The canonical non-smooth instance."""
+    return selfcheck.kink_linear()
 
 
 @pytest.fixture
 def kink_quadratic() -> PiecewiseGenerator:
-    return PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 1.0)))
+    return selfcheck.kink_quadratic()
 
 
 @pytest.fixture
 def plateau():
-    """Derivative x on [0,1], flat at 1 on [1,2], then rising: on a mass-2
-    space the Amemiya minimizer set is the whole interval [1, 2]."""
-    gen = PiecewiseGenerator(
-        (Piece(1.0, 0.0, 1.0), Piece(1.0, 0.0, 0.0), Piece(None, 0.0, 1.0))
-    )
+    """On a mass-2 space the Amemiya minimizer set is the whole interval
+    [1, 2]."""
     space = GridMeasureSpace((0.25, 0.75), (1.0, 1.0))
-    return gen, space, SimpleFunction.on(space, (1.0, 1.0))
+    return selfcheck.plateau(), space, SimpleFunction.on(space, (1.0, 1.0))
 
 
 def all_families(space: GridMeasureSpace):
@@ -65,13 +61,13 @@ def all_families(space: GridMeasureSpace):
         XLogXGenerator(),
         LinearGenerator(1.0),
         IndicatorGenerator(1.0),
-        PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 0.0))),
-        PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 1.0))),
+        selfcheck.kink_linear(),
+        selfcheck.kink_quadratic(),
     ]
 
 
 def random_instance(rng: random.Random, max_atoms: int = 6):
-    space = random_space(rng, rng.randint(2, max_atoms))
+    space = selfcheck.random_space(rng, rng.randint(2, max_atoms))
     gen = rng.choice(all_families(space))
     values = [rng.uniform(-2.0, 2.0) for _ in range(len(space))]
     if all(abs(v) < 1e-3 for v in values):
