@@ -231,6 +231,10 @@ def _cmd_gap(args, inst: Instance) -> dict:
     }
 
 
+def _cmd_gallery(args, inst: None) -> dict:
+    return gallery_report(args.ladder)
+
+
 def _cmd_selftest(args, inst: None) -> dict:
     from .selfcheck import run_all
 
@@ -256,10 +260,6 @@ def ladder(text: str) -> tuple[int, ...]:
     if min(values) < 1:
         raise ValueError(text)
     return values
-
-
-def _cmd_gallery(args, inst: None) -> dict:
-    return gallery_report(args.ladder)
 
 
 _FUNCTION = {"--function": {"required": True}}
@@ -318,14 +318,15 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
     """Every subcommand with its help; only `command`'s gets its arguments,
-    since argparse reads no others and each costs a help formatter."""
+    -h included, since argparse reads no others and each costs a help
+    formatter."""
     parser = argparse.ArgumentParser(
         prog="monorm",
         description="Musielak-Orlicz norm computations on grid instances",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, help_text, takes_instance, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, add_help=name == command)
         if name != command:
             continue
         p.add_argument("--json", action="store_true", help="emit a JSON report")
