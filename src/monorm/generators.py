@@ -115,6 +115,8 @@ class OrliczGenerator:
     family: str = "abstract"
     #: phi(t, u) < inf for every finite u
     finite_valued: bool = True
+    #: phi(t, u) depends on t (per-atom parameters)
+    t_dependent: bool = False
 
     # -- evaluation ----------------------------------------------------------
 
@@ -242,6 +244,7 @@ class VariableExponentGenerator(OrliczGenerator):
     coef: tuple[float, ...] | None = None
     family = "varexp"
     finite_valued = True
+    t_dependent = True
 
     def __post_init__(self) -> None:
         n = len(self.coords)
@@ -545,8 +548,7 @@ class PiecewiseGenerator(OrliczGenerator):
         return PiecewiseGenerator(*_conjugate_pieces(self.pieces, self.bounded))
 
     def delta2_profile(self, coords):
-        # the pieces do not depend on t, so one atom stands for all
-        return None if self.bounded else _sampled_delta2_profile(self, coords[:1])
+        return None if self.bounded else _sampled_delta2_profile(self, coords)
 
     def derivative_threshold(self, t, n):
         starts, derivs, _, end, _, end_deriv = self._table
@@ -635,8 +637,11 @@ def _conjugate_pieces(pieces: tuple[Piece, ...], bounded: bool):
 
 
 def _sampled_delta2_profile(gen: OrliczGenerator, coords: Sequence[float]) -> Delta2Profile:
-    """Sampled sup of phi(t,2u)/phi(t,u) over the atoms at coords and
-    u >= f = 1.25 max a(t), with a safety margin."""
+    """Sampled sup of phi(t,2u)/phi(t,u) over the atoms at coords (one of
+    them when phi does not depend on t) and u >= f = 1.25 max a(t), with a
+    safety margin."""
+    if not gen.t_dependent:
+        coords = coords[:1]
     f = 1.25 * max(gen.zero_bound(t) for t in coords)
     lo = max(f, 1e-6)
     hi = 1e5 * (1.0 + lo)
@@ -676,6 +681,10 @@ class TruncatedGenerator(OrliczGenerator):
     def __post_init__(self) -> None:
         if not self.n > 0:
             raise ValueError("truncation level must be > 0")
+
+    @property
+    def t_dependent(self) -> bool:
+        return self.base.t_dependent
 
     def _threshold(self, t: float) -> float:
         u_n = self._thresholds.get(t)
