@@ -7,12 +7,15 @@ goes through the three functions here.
   within a target: magnitude caps, derivative thresholds, domain edges.
 - golden_max maximizes a unimodal function on an interval.
 
-Both bracketing solvers grow an upper end by doubling and then bisect.  With
-rel_tol = 0 bisection runs until the midpoint hits an endpoint, so the result
-is the pair of adjacent floats around the threshold, whichever bracket it
-started from.  The search range is the normal floats: a threshold below the
-smallest one reads as 0, and a predicate that does not change within the
-range raises BracketError naming the last bracket.
+Both bracketing solvers grow an upper end by doubling.  monotone_boundary
+then bisects its predicate; monotone_cap, which sees values and not only a
+verdict, narrows by false position on g - target with bisection as the
+fallback.  Run to the end (rel_tol = 0 for monotone_boundary, always for
+monotone_cap) either stops at the pair of adjacent floats around the
+threshold, whichever bracket it started from.  The search range is the
+normal floats: a threshold below the smallest one reads as 0, and a
+predicate that does not change within the range raises BracketError naming
+the last bracket.
 """
 
 from __future__ import annotations
@@ -26,6 +29,8 @@ from .errors import BracketError
 __all__ = ["monotone_boundary", "golden_max", "monotone_cap"]
 
 BISECT_REL_TOL = 1e-10
+#: refinement steps monotone_cap may spend beyond bisection's count
+_SPARE_STEPS = 4
 
 _TINY = sys.float_info.min
 _INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
@@ -140,15 +145,74 @@ def monotone_cap(
     g may return math.inf, and hi may be math.inf.  The upper end runs
     max(1, 2 lo), doubling, clipped at hi; hi itself is returned when g
     stays within target up to it, lo when g(lo) already exceeds target.
+    The bracket is then narrowed by false position on g - target (Illinois
+    variant), with the bisection fallbacks _false_position describes: a
+    smooth g needs about a fifth to a third of bisection's evaluations, and
+    no g more than about _SPARE_STEPS beyond them.
     """
-    if g(lo) > target:
+    g_lo = g(lo)
+    if g_lo > target:
         return lo
+    x = min(max(1.0, 2.0 * lo), hi)
+    g_x = g(x)
+    while not g_x > target:
+        if x == hi or 2.0 * x == math.inf:
+            return hi
+        lo, g_lo = x, g_x
+        x = min(2.0 * x, hi)
+        g_x = g(x)
+    return _false_position(g, target, lo, x, g_lo - target, g_x - target)
 
-    def over(x: float) -> bool:
-        return g(x) > target
 
-    try:
-        lo, hi = _grow(over, lo, max(1.0, 2.0 * lo), hi)
-    except BracketError:
-        return hi
-    return _bisect(over, lo, hi, 0.0)[0]
+def _false_position(
+    g: Callable[[float], float],
+    target: float,
+    lo: float,
+    hi: float,
+    r_lo: float,
+    r_hi: float,
+) -> float:
+    """Narrow g(lo) <= target < g(hi), with residuals r = g - target at the
+    ends, to adjacent floats (or to hi <= _TINY, where lo is returned).
+
+    Each step probes the false-position point, held two ulps inside the
+    bracket and at or above _TINY.  An end kept for a second step in a row
+    has its residual halved (Illinois), so the point cannot stall on one
+    side.  The midpoint stands in when a residual is not finite or the point
+    is not strictly inside.  After _SPARE_STEPS free steps each step must
+    leave at most half of the previous step's allowance, ITP-style
+    (Oliveira & Takahashi 2020), so a point that could leave a wider bracket
+    is pulled toward the midpoint: the count never exceeds bisection's by
+    more than _SPARE_STEPS.
+    """
+    allowance = hi - lo
+    free = _SPARE_STEPS
+    kept = 0  # +1: lo kept by the last step, -1: hi kept, 0: neither yet
+    while hi > _TINY:
+        mid = lo + 0.5 * (hi - lo)
+        if not lo < mid < hi:
+            break
+        if free:
+            free -= 1
+        else:
+            allowance *= 0.5
+        x = mid
+        if -math.inf < r_lo and 0.0 < r_hi < math.inf:
+            x = lo + (hi - lo) * (r_lo / (r_lo - r_hi))
+            x = min(max(x, lo + 2.0 * math.ulp(lo)), hi - 2.0 * math.ulp(hi))
+            x = min(max(x, hi - allowance), lo + allowance)
+            if not lo < x < hi:
+                x = mid
+        x = max(x, _TINY)
+        r = g(x) - target
+        if r > 0.0:
+            hi, r_hi = x, r
+            if kept == 1:
+                r_lo *= 0.5
+            kept = 1
+        else:
+            lo, r_lo = x, r
+            if kept == -1:
+                r_hi *= 0.5
+            kept = -1
+    return lo

@@ -1,7 +1,9 @@
+import bisect
 import math
 import sys
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monorm import solvers
 from monorm.errors import BracketError
@@ -93,8 +95,10 @@ def test_evaluation_counts_for_fixed_predicate():
 
     g, calls = counted(lambda x: x)
     monotone_cap(g, 3.0, 0.0, math.inf)
-    # g(0), then upper ends 1, 2, 4, then 52 halvings of [2, 4]
-    assert len(calls) == 1 + 3 + 52
+    # g(0), then upper ends 1, 2, 4; false position hits 3 itself, then
+    # 3 + 2 ulp (over) and the float between close the bracket
+    assert calls[1:] == [1.0, 2.0, 4.0, 3.0, 3.0 + 2 * math.ulp(3.0), math.nextafter(3.0, 4.0)]
+    assert len(calls) == 1 + 3 + 3
 
 
 def test_threshold_below_normal_floats_reads_zero():
@@ -103,6 +107,122 @@ def test_threshold_below_normal_floats_reads_zero():
     g, calls = counted(lambda x: 0.0 if x == 0.0 else 1.0)
     assert monotone_cap(g, 0.5, 0.0, math.inf) == 0.0
     assert min(x for x in calls if x > 0.0) == sys.float_info.min
-    # g(0), the upper end 1, then 1022 halvings of [0, 1]
-    assert len(calls) == 2 + 1022
+    # g(0), the upper end 1, then 47 steps down to it (1022 halvings of
+    # [0, 1] by bisection): the Illinois halving shrinks hi superlinearly
+    assert len(calls) == 2 + 47
 
+
+
+# -- monotone_cap on nondecreasing families ------------------------------------
+
+#: the cap may take this many evaluations beyond plain bisection's
+CAP_EXTRA_EVALS = 6
+
+
+def bisection_cap_evals(g, target, lo, hi):
+    """Evaluations of the cap by doubling, then bisection to adjacent floats
+    above the smallest normal float: the reference count."""
+    n = 1
+    if g(lo) > target:
+        return n
+    x = min(max(1.0, 2.0 * lo), hi)
+    while True:
+        n += 1
+        if g(x) > target:
+            break
+        if x == hi or 2.0 * x == math.inf:
+            return n
+        lo, x = x, min(2.0 * x, hi)
+    hi = x
+    while hi > sys.float_info.min:
+        mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break
+        n += 1
+        if g(mid) > target:
+            hi = mid
+        else:
+            lo = mid
+    return n
+
+
+def _saturating(f):
+    def g(x):
+        try:
+            return f(x)
+        except OverflowError:
+            return math.inf
+
+    return g
+
+
+_scales = st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e)
+
+
+@st.composite
+def smooth_convex(draw):
+    s = draw(_scales)
+    if draw(st.booleans()):
+        p = draw(st.floats(min_value=1.0, max_value=8.0))
+        return _saturating(lambda x: (s * x) ** p)
+    return _saturating(lambda x: math.expm1(s * x))
+
+
+@st.composite
+def piecewise_linear(draw):
+    """Slopes 0 (plateaus) or positive between sorted knots; each piece is
+    evaluated as its left value plus slope times offset, so g is
+    nondecreasing float by float."""
+    knots = sorted(draw(st.lists(_scales, min_size=1, max_size=5, unique=True)))
+    slopes = draw(
+        st.lists(
+            st.one_of(st.just(0.0), _scales), min_size=len(knots) + 1, max_size=len(knots) + 1
+        )
+    )
+    starts, values = [0.0], [0.0]
+    for k, slope in zip(knots, slopes):
+        values.append(values[-1] + slope * (k - starts[-1]))
+        starts.append(k)
+
+    def g(x):
+        j = bisect.bisect_right(starts, x) - 1
+        return values[j] + slopes[j] * (x - starts[j])
+
+    return g
+
+
+@st.composite
+def finite_then_infinite(draw):
+    s = draw(st.one_of(st.just(0.0), _scales))
+    edge = draw(_scales)
+    return lambda x: s * x if x <= edge else math.inf
+
+
+@st.composite
+def unit_step(draw):
+    c = draw(st.one_of(_scales, st.just(0.0), st.just(sys.float_info.min)))
+    return lambda x: 1.0 if x >= c and x > 0.0 else 0.0
+
+
+@given(
+    st.one_of(smooth_convex(), piecewise_linear(), finite_then_infinite(), unit_step()),
+    st.one_of(st.floats(min_value=0.0, max_value=0.999), _scales),
+    st.one_of(st.just(0.0), _scales),
+    st.one_of(st.just(math.inf), _scales),
+)
+def test_cap_is_adjacent_float_crossing(g, target, lo, hi):
+    hi = max(hi, lo)
+    counted_g, calls = counted(g)
+    x = monotone_cap(counted_g, target, lo, hi)
+    if g(lo) > target:
+        assert x == lo
+    elif x == hi:
+        assert hi == math.inf or g(hi) <= target
+    elif x == 0.0:
+        # a crossing below the normal floats reads as 0
+        assert g(sys.float_info.min) > target
+    else:
+        assert lo <= x < hi
+        assert g(x) <= target < g(math.nextafter(x, math.inf))
+    assert all(p == 0.0 or p >= sys.float_info.min for p in calls)
+    assert len(calls) <= bisection_cap_evals(g, target, lo, hi) + CAP_EXTRA_EVALS
