@@ -1,9 +1,10 @@
 """Command-line interface: instance ingestion, subcommand dispatch, and
 deterministic JSON reports.
 
-Exit codes: 0 success, 2 input or validation error, 3 numerical bracket
-failure (so scripts can tell input problems from numerical ones), 141 when
-the reader of stdout closes the pipe early.
+Exit codes: 0 success, 2 input or validation error, 3 numerical failure (a
+bracket that leaves float range or a result that fails its own check, so
+scripts can tell input problems from numerical ones), 141 when the reader of
+stdout closes the pipe early.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .duality import (
     luxemburg_norm_bruteforce,
     orlicz_norm_bruteforce,
 )
-from .errors import BracketError, MonormError
+from .errors import BracketError, MonormError, PostconditionError
 from .gallery import gallery_report
 from .generators import generator_bounds
 from .geometry import (
@@ -255,6 +256,13 @@ def finite(text: str) -> float:
     return value
 
 
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise ValueError(text)
+    return value
+
+
 def ladder(text: str) -> tuple[int, ...]:
     values = tuple(int(x) for x in text.split(","))
     if min(values) < 1:
@@ -274,7 +282,7 @@ COMMANDS = {
     "conjugate": (_cmd_conjugate, "table of conjugate values at one atom", True, {
         "--atom": {"type": int, "default": 0},
         "--v-max": {"type": finite, "default": 4.0},
-        "--points": {"type": int, "default": 9},
+        "--points": {"type": positive_int, "default": 9},
     }),
     "dual": (_cmd_dual, "norm of a dual functional (density + singular mass)", True, {
         "--density": {"required": True},
@@ -358,6 +366,9 @@ def run(argv) -> int:
         report.update(handler(args, inst))
     except BracketError as exc:
         print(f"numerical bracket failure: {exc}", file=sys.stderr)
+        return 3
+    except PostconditionError as exc:
+        print(f"numerical postcondition failure: {exc}", file=sys.stderr)
         return 3
     except MonormError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import BracketError
+from .errors import BracketError, PostconditionError
 from .generators import OrliczGenerator
 from .solvers import golden_max, monotone_boundary, monotone_cap
 
@@ -168,7 +168,7 @@ def young_gap(gen: OrliczGenerator, t: float, u: float, v: float) -> float:
     gap = a + b - u * v
     if gap < 0.0:
         if gap < -1e-12 * max(1.0, a + b, u * v):
-            raise AssertionError(f"Young inequality violated: gap = {gap}")
+            raise PostconditionError(f"Young inequality violated: gap = {gap}")
         gap = 0.0
     return gap
 

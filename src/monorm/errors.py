@@ -27,3 +27,7 @@ class InstanceError(MonormError, ValueError):
 
 class PreconditionError(MonormError, ValueError):
     """A documented precondition of an operation does not hold."""
+
+
+class PostconditionError(MonormError, RuntimeError):
+    """A computed result fails the property it is documented to have."""

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .conjugate import conjugate
-from .errors import BracketError, DomainError
+from .errors import BracketError, DomainError, PostconditionError
 from .generators import OrliczGenerator, modular, weighted_sum
 from .norms import (
     K_WIDEN_REL,
@@ -599,7 +599,7 @@ def _assert_gap_postcondition(gen, space, delta, locations) -> None:
         lo = gen.left_deriv(t, x) if x > 0 else 0.0
         gap = _gap(gen.right_deriv(t, x), lo)
         if gap < delta - 1e-9:
-            raise AssertionError(
+            raise PostconditionError(
                 f"gap postcondition failed at t={t}, u={x}: gap={gap} < {delta}"
             )
 

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from monorm import PowerGenerator, truncate
+from monorm import PowerGenerator, selfcheck, truncate
 from monorm.cli import run
 from monorm.errors import InstanceError
 from monorm.instance import parse_instance
@@ -336,6 +337,10 @@ BAD_VALUES = {
         f"--ladder={value}": ["gallery", f"--ladder={value}"]
         for value in ("abc", "0", "-3", "", "256,,1024", "2.5")
     },
+    **{
+        f"--points={value}": ["conjugate", f"--points={value}"]
+        for value in ("0", "-5", "2.5")
+    },
 }
 
 
@@ -347,6 +352,32 @@ def test_bad_option_values_are_input_errors(name, tmp_path, capsys):
         argv = argv[:1] + ["--instance", _write(tmp_path, payload)] + argv[1:]
     assert run(argv) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_gap_postcondition_failure_exits_3(instance_file, capsys, monkeypatch):
+    # a jump list the derivatives contradict: no gap at u = 1 for p = 2
+    monkeypatch.setattr(PowerGenerator, "derivative_jumps", lambda self, t: [(1.0, 0.0, 5.0)])
+    assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 3
+    assert "gap postcondition failed" in capsys.readouterr().err
+
+
+class _ZeroConjugate:
+    """A wrong conjugate, 0 everywhere, so phi(u) - u v breaks Young's
+    inequality."""
+
+    def phi(self, t, v):
+        return 0.0
+
+
+def test_young_inequality_failure_exits_3(capsys, monkeypatch):
+    monkeypatch.setattr(
+        importlib.import_module("monorm.conjugate"), "conjugate", lambda gen: _ZeroConjugate()
+    )
+    # only the criterion that calls young_gap
+    monkeypatch.setattr(selfcheck, "CRITERIA", [selfcheck.CRITERIA[3]])
+    assert selfcheck.CRITERIA[0][0] == "4 conjugation"
+    assert run(["selftest"]) == 3
+    assert "Young inequality violated" in capsys.readouterr().err
 
 
 def test_truncate_field_builds_truncated_generator(tmp_path):
