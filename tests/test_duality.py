@@ -265,3 +265,24 @@ def test_nondecreasing_toward_untruncated():
         values = [v for _, v in seq]
         assert all(b >= a for a, b in zip(values, values[1:]))
         assert values[-1] <= luxemburg_norm(gen, space, u) + 1e-9
+
+
+def test_orlicz_oracle_conjugate_evaluations_stay_low(monkeypatch):
+    # a cost guard: the oracle's polish caps (fill_scale) dominate its
+    # conjugate evaluations.  With bisection to adjacent floats this
+    # instance took 17697 evaluations of phi*; false position takes 3921.
+    gen = PowerGenerator(3.0)
+    conj = conjugate(gen)
+    space = GridMeasureSpace.uniform(3)
+    u = SimpleFunction.on(space, (1.0, -2.0, 0.5))
+    calls = []
+    phi = PowerGenerator.phi
+
+    def counted_phi(self, t, v):
+        if self == conj:
+            calls.append(v)
+        return phi(self, t, v)
+
+    monkeypatch.setattr(PowerGenerator, "phi", counted_phi)
+    assert orlicz_norm_bruteforce(gen, space, u, 12) == pytest.approx(1.8985608315692, rel=1e-12)
+    assert len(calls) <= 17697 // 2
