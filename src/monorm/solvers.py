@@ -145,10 +145,10 @@ def monotone_cap(
     g may return math.inf, and hi may be math.inf.  The upper end runs
     max(1, 2 lo), doubling, clipped at hi; hi itself is returned when g
     stays within target up to it, lo when g(lo) already exceeds target.
-    The bracket is then narrowed by false position on g - target (Illinois
-    variant), with the bisection fallbacks _false_position describes: a
-    smooth g needs about a fifth to a third of bisection's evaluations, and
-    no g more than about _SPARE_STEPS beyond them.
+    The bracket is then narrowed by false position on g - target, with the
+    safeguards _false_position describes: a smooth g needs a fifth to a
+    third of bisection's evaluations, and no g more than about _SPARE_STEPS
+    beyond them.
     """
     g_lo = g(lo)
     if g_lo > target:
@@ -178,12 +178,13 @@ def _false_position(
     Each step probes the false-position point, held two ulps inside the
     bracket and at or above _TINY.  An end kept for a second step in a row
     has its residual halved (Illinois), so the point cannot stall on one
-    side.  The midpoint stands in when a residual is not finite or the point
-    is not strictly inside.  After _SPARE_STEPS free steps each step must
-    leave at most half of the previous step's allowance, ITP-style
-    (Oliveira & Takahashi 2020), so a point that could leave a wider bracket
-    is pulled toward the midpoint: the count never exceeds bisection's by
-    more than _SPARE_STEPS.
+    side.  The midpoint stands in when a residual is infinite, NaN or halved
+    to 0, or when the point is not strictly inside.  After _SPARE_STEPS
+    free steps, each step halves an allowance that starts at the first
+    bracket's width and clamps the point so that the bracket it leaves is
+    no wider, as in ITP (Oliveira & Takahashi 2020): the bracket never lags
+    bisection's by more than _SPARE_STEPS halvings, and the count stays
+    within about _SPARE_STEPS of bisection's.
     """
     allowance = hi - lo
     free = _SPARE_STEPS
