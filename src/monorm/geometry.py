@@ -178,7 +178,7 @@ def _select_density(
             mags[i] = hi
             total += w * (c_hi - c_lo)
             continue
-        # fractional atom: bisect inside the segment for the exact level
+        # fractional atom: cap inside the segment at the exact level
         def cost(m: float, t=t, w=w, c_lo=c_lo) -> float:
             c = conj.phi(t, m)
             return w * (c - c_lo) if math.isfinite(c) else math.inf
