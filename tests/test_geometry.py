@@ -179,6 +179,22 @@ def test_unique_functional_on_wide_interval(plateau):
     )
 
 
+def test_verify_on_wide_interval(plateau):
+    # K(u) = [1, 2]: the sign/subdifferential clause must hold at every k in
+    # it, and the boxes at k* and k** meet only in the density (1, 1)
+    gen, space, u = plateau
+    sf = construct_support_functional(gen, space, u)
+    rep = verify_support_functional(gen, space, u, DualDensity(sf.density, 0.0))
+    assert rep.passed
+    assert rep.clauses[2].name == "sign_and_subdifferential"
+    assert rep.clauses[2].value == 0.0
+    for vals, excess in (((0.9, 1.0), 0.1), ((1.1, 1.0), 0.1), ((1.0, -1.0), 2.0)):
+        f = DualDensity(SimpleFunction.on(space, vals), 0.0)
+        clause = verify_support_functional(gen, space, u, f).clauses[2]
+        assert not clause.passed, vals
+        assert clause.value == pytest.approx(excess, abs=1e-12), vals
+
+
 def test_space_smoothness_families(two_atoms, kink_quadratic):
     assert check_space_smoothness(PowerGenerator(1.5), two_atoms).smooth
     assert check_space_smoothness(PowerGenerator(2.0), two_atoms).smooth
