@@ -23,7 +23,6 @@ from .conjugate import conjugate
 from .errors import BracketError, DomainError, PostconditionError
 from .generators import OrliczGenerator, modular, weighted_sum
 from .norms import (
-    K_WIDEN_REL,
     KSetDegenerate,
     KSetNonEmpty,
     _degenerate_mass,
@@ -51,6 +50,9 @@ __all__ = [
 ]
 
 EPS_EQ = 1e-7
+#: relative widening applied around bisected k-values when evaluating
+#: subdifferentials, so that derivative jumps at the boundary are seen whole
+K_WIDEN_REL = 5e-10
 #: per-atom sample count of the doubling cross-check in check_space_smoothness
 DELTA2_SAMPLES = 64
 
@@ -114,7 +116,10 @@ class GapProfile:
     """Per-atom first location where the derivative gap reaches delta."""
 
     locations: tuple[float, ...]
-    finite_mask: tuple[bool, ...]
+
+    @property
+    def finite_mask(self) -> tuple[bool, ...]:
+        return tuple(math.isfinite(x) for x in self.locations)
 
 
 def _gap(hi: float, lo: float) -> float:
@@ -134,23 +139,73 @@ def _segments(
     space: GridMeasureSpace,
     u: SimpleFunction,
     k: float,
-    widen: float = K_WIDEN_REL,
 ):
-    """Per atom: (lo, hi, phi*(lo), phi*(hi)) of the subdifferential at
-    k|u_i|, with the argument widened by the bisection tolerance so that
-    derivative jumps sitting exactly at the boundary are seen whole.  An atom
-    off the support gets lo = 0 and hi = phi'_+(t, 0)."""
+    """Per atom: (t, w, lo, hi, phi*(lo), phi*(hi)) of the subdifferential
+    at k|u_i|, with the argument widened by K_WIDEN_REL so that derivative
+    jumps sitting exactly at the boundary are seen whole.  An atom off the
+    support gets lo = 0 and hi = phi'_+(t, 0)."""
     segs = []
     for (t, w), ui in zip(space.items(), u.values):
         x = k * abs(ui)
-        lo = gen.left_deriv(t, x * (1.0 - widen))
-        hi = gen.right_deriv(t, x * (1.0 + widen)) if x > 0 else gen.right_deriv(t, 0.0)
-        if ui == 0.0:
-            lo, hi = 0.0, gen.right_deriv(t, 0.0)
-        c_lo = conj.phi(t, lo)
-        c_hi = conj.phi(t, hi)
-        segs.append((t, w, lo, hi, c_lo, c_hi))
+        lo = gen.left_deriv(t, x * (1.0 - K_WIDEN_REL))
+        hi = gen.right_deriv(t, x * (1.0 + K_WIDEN_REL))
+        segs.append((t, w, lo, hi, conj.phi(t, lo), conj.phi(t, hi)))
     return segs
+
+
+def _flat(ks: KSetNonEmpty) -> bool:
+    """Whether K(u) is wider than the widening around its ends."""
+    return ks.k_double_star - ks.k_star > 4.0 * K_WIDEN_REL * ks.k_star
+
+
+def _boxes(
+    gen: OrliczGenerator,
+    conj: OrliczGenerator,
+    space: GridMeasureSpace,
+    u: SimpleFunction,
+    ks: KSetNonEmpty,
+) -> list[tuple[float, float, float, float]]:
+    """Per atom: (t, w, lo, hi) bounding the subdifferential at k|u_i| for
+    every k in K(u).  One-sided derivatives are nondecreasing, so on a flat
+    K(u) the boxes at k* and k** settle every k between: their intersection
+    is returned unclamped (hi < lo when no magnitude fits both)."""
+    boxes = [seg[:4] for seg in _segments(gen, conj, space, u, ks.k_star)]
+    if _flat(ks):
+        far = _segments(gen, conj, space, u, ks.k_double_star)
+        boxes = [
+            (t, w, max(lo, seg[2]), min(hi, seg[3]))
+            for (t, w, lo, hi), seg in zip(boxes, far)
+        ]
+    return boxes
+
+
+def _excess(lo: float, hi: float, ui: float, vi: float, eps_eq: float) -> float:
+    """How far vi lies outside the sign-and-subdifferential clause at one
+    atom (sign of ui, magnitude in [lo, hi]); 0.0 when the clause holds."""
+    mag = abs(vi)
+    if ui == 0.0:
+        return mag if mag > eps_eq else 0.0
+    if mag <= eps_eq:
+        # a zero value is admissible exactly when 0 lies in the
+        # subdifferential (sgn 0 is compatible with either sign)
+        return lo if math.isfinite(lo) and lo > eps_eq else 0.0
+    if sgn(vi) != sgn(ui):
+        return mag + 1.0
+    # an infinite lower end is no shortfall (IEEE would give +inf)
+    below = lo - mag if math.isfinite(lo) else -math.inf
+    excess = max(below, mag - hi)
+    return excess if excess > eps_eq else 0.0
+
+
+def _pinned_density(
+    conj: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction
+) -> list[float]:
+    """The degenerate-branch density: sgn(u_i) b*(t_i) on the support of u,
+    0 off it."""
+    return [
+        sgn(ui) * conj.finite_bound(t) if ui != 0.0 else 0.0
+        for t, ui in zip(space.coords, u.values)
+    ]
 
 
 def _select_density(
@@ -211,13 +266,7 @@ def construct_support_functional(
     conj = conjugate(gen)
     ks = k_interval(gen, space, u)
     if isinstance(ks, KSetDegenerate):
-        vals = []
-        for (t, _), ui in zip(space.items(), u.values):
-            if ui == 0.0:
-                vals.append(0.0)
-            else:
-                vals.append(sgn(ui) * conj.finite_bound(t))
-        v = SimpleFunction(space, tuple(vals))
+        v = SimpleFunction(space, tuple(_pinned_density(conj, space, u)))
         d = DualDensity(v, 0.0)
         return SupportFunctional(
             density=v,
@@ -249,13 +298,6 @@ def construct_support_functional(
 # ---------------------------------------------------------------------------
 
 
-def _k_probes(ks: KSetNonEmpty) -> list[float]:
-    if ks.k_double_star - ks.k_star > 4.0 * K_WIDEN_REL * ks.k_star:
-        mid = 0.5 * (ks.k_star + ks.k_double_star)
-        return [ks.k_star, mid, ks.k_double_star]
-    return [ks.k_star]
-
-
 def verify_support_functional(
     gen: OrliczGenerator,
     space: GridMeasureSpace,
@@ -268,8 +310,10 @@ def verify_support_functional(
     Non-degenerate branch: (i) the conjugate modular of the density plus the
     singular mass equals 1; (ii) the singular clause, which has no grid
     realization and is vacuous only with zero singular mass; (iii) signs
-    match u and magnitudes lie in the subdifferential at k|u|, for every
-    probed k in [k*, k**].
+    match u and magnitudes lie in the subdifferential at k|u| for every k
+    in [k*, k**] (the _boxes bounds), its value the largest excess over
+    the atoms.  Degenerate branch: the modular is at most 1 and the density
+    equals sgn(u) b* on the support.
     """
     if u.is_zero():
         raise DomainError("support functionals are defined for u != 0")
@@ -306,36 +350,12 @@ def verify_support_functional(
                     "(non-atomic-limit construct)",
                 )
             )
-        worst = 0.0
-        ok = True
-        for k in _k_probes(ks):
-            segs = _segments(gen, conj, space, u, k)
-            for (t, w, lo, hi, _, _), ui, vi in zip(segs, u.values, f.v.values):
-                if ui == 0.0:
-                    if abs(vi) > eps_eq:
-                        ok = False
-                        worst = max(worst, abs(vi))
-                    continue
-                mag = abs(vi)
-                if mag <= eps_eq:
-                    # a zero value is admissible exactly when 0 lies in the
-                    # subdifferential (sgn 0 is compatible with either sign)
-                    if math.isfinite(lo) and lo > eps_eq:
-                        ok = False
-                        worst = max(worst, lo)
-                    continue
-                if sgn(vi) != sgn(ui):
-                    ok = False
-                    worst = max(worst, mag + 1.0)
-                    continue
-                # an infinite lower end is no shortfall (IEEE would give +inf)
-                below = lo - mag if math.isfinite(lo) else -math.inf
-                above = mag - hi
-                excess = max(below, above)
-                if excess > eps_eq:
-                    ok = False
-                    worst = max(worst, excess)
-        clauses.append(ClauseCheck("sign_and_subdifferential", worst, 0.0, ok))
+        boxes = _boxes(gen, conj, space, u, ks)
+        worst = max(
+            _excess(lo, hi, ui, vi, eps_eq)
+            for (_, _, lo, hi), ui, vi in zip(boxes, u.values, f.v.values)
+        )
+        clauses.append(ClauseCheck("sign_and_subdifferential", worst, 0.0, worst == 0.0))
     else:
         branch = "k_empty"
         total = m + f.s_norm
@@ -347,17 +367,12 @@ def verify_support_functional(
                 total <= 1.0 + eps_eq,
             )
         )
-        worst = 0.0
-        ok = True
-        for (t, _), ui, vi in zip(space.items(), u.values, f.v.values):
-            if ui == 0.0:
-                continue
-            want = sgn(ui) * conj.finite_bound(t)
-            err = abs(vi - want)
-            if err > eps_eq:
-                ok = False
-            worst = max(worst, err)
-        clauses.append(ClauseCheck("density_pinned_to_bound", worst, 0.0, ok))
+        pinned = _pinned_density(conj, space, u)
+        worst = max(
+            (abs(vi - want) for ui, vi, want in zip(u.values, f.v.values, pinned) if ui != 0.0),
+            default=0.0,
+        )
+        clauses.append(ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= eps_eq))
 
     return VerifyReport(branch, tuple(clauses), all(c.passed for c in clauses))
 
@@ -471,9 +486,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
     """Two distinct support densities in the degenerate branch: pin b* on
     the support, then either spend modular slack off the support or use the
     conjugate zero bound there."""
-    base = []
-    for (t, _), ui in zip(space.items(), u.values):
-        base.append(sgn(ui) * conj.finite_bound(t) if ui != 0.0 else 0.0)
+    base = _pinned_density(conj, space, u)
     off = [i for i, ui in enumerate(u.values) if ui == 0.0]
     if not off:
         return None
@@ -579,7 +592,6 @@ def smoothness_gap_function(
     if not delta > 0:
         raise DomainError("delta must be > 0")
     locations: list[float] = []
-    mask: list[bool] = []
     for t, _ in space.items():
         loc = math.inf
         for x, lo, hi in gen.derivative_jumps(t):
@@ -587,9 +599,8 @@ def smoothness_gap_function(
                 loc = x
                 break
         locations.append(loc)
-        mask.append(math.isfinite(loc))
     _assert_gap_postcondition(gen, space, delta, locations)
-    return GapProfile(tuple(locations), tuple(mask))
+    return GapProfile(tuple(locations))
 
 
 def _assert_gap_postcondition(gen, space, delta, locations) -> None:
@@ -631,7 +642,9 @@ def support_density_survey(
     eps_eq: float = EPS_EQ,
 ) -> DensitySurvey:
     """Enumerate candidate densities satisfying the sign/subdifferential
-    clause with the conjugate modular at (or, degenerate branch, below) 1.
+    clause (inside the _boxes bounds over K(u)) with the conjugate modular
+    at 1, or, degenerate branch, sgn(u) b* on the support and the modular
+    at most 1.
 
     Independent of the classifier: a point is smooth exactly when the
     enumeration finds a single density class (diameter ~ grid step)."""
@@ -639,32 +652,22 @@ def support_density_survey(
         raise DomainError("survey is defined for u != 0")
     conj = conjugate(gen)
     ks = k_interval(gen, space, u)
-    supp = [i for i, ui in enumerate(u.values) if ui != 0.0]
-
+    n = max(2, resolution)
+    axes: list[list[float]] = []
+    costs: list[list[float]] = []
     if isinstance(ks, KSetNonEmpty):
-        segs = _segments(gen, conj, space, u, ks.k_star)
-        if ks.k_double_star - ks.k_star > 4.0 * K_WIDEN_REL * ks.k_star:
-            # the clauses must hold for every k in K(u): intersect the
-            # subdifferential boxes at both endpoints
-            segs_hi = _segments(gen, conj, space, u, ks.k_double_star)
-            merged = []
-            for (t, w, lo, hi, _, _), (_, _, lo2, hi2, _, _) in zip(segs, segs_hi):
-                lo_m = lo if lo >= lo2 else lo2
-                hi_m = hi if hi <= hi2 else hi2
-                if hi_m < lo_m:
-                    hi_m = lo_m
-                merged.append((t, w, lo_m, hi_m, conj.phi(t, lo_m), conj.phi(t, hi_m)))
-            segs = merged
-        axes: list[list[float]] = []
-        costs: list[list[float]] = []
+        # the support is free inside the boxes over K(u), off it pinned to 0
+        free = [i for i, ui in enumerate(u.values) if ui != 0.0]
+        base = [0.0] * len(space)
+        boxes = _boxes(gen, conj, space, u, ks)
         step_cost = 0.0
-        for i in supp:
-            t, w, lo, hi, c_lo, c_hi = segs[i]
+        for i in free:
+            t, w, lo, hi = boxes[i]
+            hi = max(hi, lo)
             if math.isfinite(hi) and hi - lo <= 1e-8 * max(1.0, hi):
                 pts = [lo]
             else:
                 top = min(hi, magnitude_cap(conj, t, (1.0 + eps_eq) / w, lo))
-                n = max(2, resolution)
                 pts = [lo + (top - lo) * j / (n - 1) for j in range(n)]
             cvals = [w * conj.phi(t, m) for m in pts]
             finite_steps = [
@@ -678,23 +681,17 @@ def support_density_survey(
         passing = _enumerate_level(axes, costs, 1.0, band)
     else:
         # degenerate: support pinned to b*, off-support free below the budget
-        pinned = [conj.finite_bound(space.coords[i]) for i in supp]
+        free = [i for i, ui in enumerate(u.values) if ui == 0.0]
+        base = _pinned_density(conj, space, u)
         base_cost = _degenerate_mass(conj, space, u)
-        off = [i for i in range(len(space)) if i not in supp]
-        axes = []
-        costs = []
-        for i in off:
+        for i in free:
             t, w = space.coords[i], space.weights[i]
             top = magnitude_cap(conj, t, max(0.0, 1.0 + eps_eq - base_cost) / w)
-            n = max(2, resolution)
             pts = [top * j / (n - 1) for j in range(n)]
-            cvals = [w * conj.phi(t, m) for m in pts]
             axes.append(pts)
-            costs.append(cvals)
+            costs.append([w * conj.phi(t, m) for m in pts])
         half = 0.5 * (1.0 + eps_eq - base_cost)
-        passing_off = _enumerate_level(axes, costs, half, half)
-        passing = [tuple(pinned) + combo for combo in passing_off]
-        supp = supp + off
+        passing = _enumerate_level(axes, costs, half, half)
 
     if not passing:
         return DensitySurvey(0, 0.0, None, ())
@@ -711,8 +708,8 @@ def support_density_survey(
 
     reps = []
     for row in (passing[0], passing[-1]):
-        vals = [0.0] * len(space)
-        for pos, i in enumerate(supp):
+        vals = list(base)
+        for pos, i in enumerate(free):
             vals[i] = sgn(u.values[i]) * row[pos] if u.values[i] != 0.0 else row[pos]
         reps.append(SimpleFunction(space, tuple(vals)))
     return DensitySurvey(len(passing), diameter, unique, tuple(reps))

@@ -41,10 +41,6 @@ __all__ = [
     "derivative_modular",
 ]
 
-#: relative widening applied around bisected k-values when evaluating
-#: subdifferentials, so that derivative jumps at the boundary are seen whole
-K_WIDEN_REL = 5e-10
-
 
 @dataclass(frozen=True)
 class KSetNonEmpty:
