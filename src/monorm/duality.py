@@ -165,9 +165,9 @@ def orlicz_norm_bruteforce(
     weights = space.weights
 
     # per-atom candidate magnitudes with their conjugate-modular costs
+    caps = [magnitude_cap(conj, coords[i], 1.0 / weights[i]) for i in supp]
     grids: list[list[tuple[float, float]]] = []
-    for i in supp:
-        cap = magnitude_cap(conj, coords[i], 1.0 / weights[i])
+    for i, cap in zip(supp, caps):
         pts = _magnitude_grid(cap, resolution)
         entries = []
         for m in pts:
@@ -183,7 +183,6 @@ def orlicz_norm_bruteforce(
     # manifold: vary one magnitude, rescale the rest to keep the conjugate
     # modular at 1 (the resulting map is concave in the varied coordinate)
     mags = best_mags
-    caps = [magnitude_cap(conj, coords[i], 1.0 / weights[i]) for i in supp]
 
     def fill_scale(j: int, budget: float) -> float:
         others = [r for r in range(len(supp)) if r != j and mags[r] > 0.0]
@@ -213,7 +212,7 @@ def orlicz_norm_bruteforce(
             s = fill_scale(j, max(0.0, budget))
             return gains[j] * mj + s * rest_gain
 
-        m_best, val = golden_max(h, 0.0, caps[j], rel_tol=1e-10)
+        m_best, val = golden_max(h, 0.0, caps[j])
         if val > sum(g * m for g, m in zip(gains, mags)):
             c = conj.phi(coords[i], m_best)
             budget = 1.0 - weights[i] * c
