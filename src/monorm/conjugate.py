@@ -25,7 +25,6 @@ __all__ = [
     "biconjugate_residual",
 ]
 
-GOLDEN_REL_TOL = 1e-10
 _VALUE_CUTOFF = 1e14
 
 
@@ -77,7 +76,7 @@ class NumericConjugate(OrliczGenerator):
                 return math.inf
             if base.left_deriv(t, hi) < v:
                 return math.inf
-        _, best = golden_max(g, 0.0, hi, rel_tol=GOLDEN_REL_TOL)
+        _, best = golden_max(g, 0.0, hi)
         # the sup may sit at the edge of the finite region
         edge = monotone_cap(
             lambda u: 0.0 if math.isfinite(base.phi(t, u)) else math.inf, 0.0, 0.0, hi

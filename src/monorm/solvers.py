@@ -29,6 +29,8 @@ from .errors import BracketError
 __all__ = ["monotone_boundary", "golden_max", "monotone_cap"]
 
 BISECT_REL_TOL = 1e-10
+#: golden_max stops once its bracket is this fraction of max(1, |hi|)
+GOLDEN_REL_TOL = 1e-10
 #: refinement steps monotone_cap may spend beyond bisection's count
 _SPARE_STEPS = 4
 
@@ -100,7 +102,6 @@ def golden_max(
     f: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float = 1e-10,
 ) -> tuple[float, float]:
     """Maximize a unimodal (concave or quasiconcave) f on [lo, hi].
 
@@ -117,7 +118,7 @@ def golden_max(
     x2 = a + _INV_GOLD * (b - a)
     f1, f2 = f(x1), f(x2)
     span = max(1.0, abs(hi))
-    while b - a > rel_tol * span:
+    while b - a > GOLDEN_REL_TOL * span:
         if f1 < f2:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INV_GOLD * (b - a)
