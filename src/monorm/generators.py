@@ -508,12 +508,7 @@ class PiecewiseGenerator(OrliczGenerator):
         starts, derivs, _, end, _, end_deriv = self._table
         if self.bounded and u >= end:
             return end_deriv
-        i = bisect_left(starts, u)
-        if i < len(starts) and starts[i] == u:
-            j = i - 1
-            p = self.pieces[j]
-            return derivs[j] + p.slope * (u - starts[j])
-        j = i - 1
+        j = bisect_left(starts, u) - 1
         return derivs[j] + self.pieces[j].slope * (u - starts[j])
 
     def _right(self, t, u):

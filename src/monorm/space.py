@@ -108,9 +108,6 @@ class SimpleFunction:
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
 
-    def sup_norm(self) -> float:
-        return max(abs(v) for v in self.values)
-
     def masked(self, indices) -> "SimpleFunction":
         """Restriction u * chi_A: keep the listed atoms, zero elsewhere."""
         keep = set(indices)
