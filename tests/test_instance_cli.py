@@ -121,6 +121,27 @@ def test_norm_fan_out(instance_file, capsys):
     assert list(report["functions"]) == ["u1", "u2"]
 
 
+@pytest.mark.parametrize(
+    "which, keys",
+    [
+        ("luxemburg", {"luxemburg"}),
+        ("orlicz", {"orlicz", "degenerate", "k_star", "k_double_star"}),
+        ("amemiya", {"amemiya", "degenerate", "k_star", "k_double_star"}),
+    ],
+)
+def test_norm_which_keeps_its_keys(instance_file, capsys, which, keys):
+    base = ["norm", "--instance", instance_file, "--function", "all", "--json"]
+    assert run(base) == 0
+    full = json.loads(capsys.readouterr().out)["functions"]
+    assert run(base + ["--which", which]) == 0
+    picked = json.loads(capsys.readouterr().out)["functions"]
+    assert list(picked) == list(full)
+    for name, entry in picked.items():
+        assert set(entry) == keys
+        for key, value in entry.items():
+            assert json.dumps(value) == json.dumps(full[name][key])
+
+
 def test_json_determinism(instance_file, capsys):
     run(["norm", "--instance", instance_file, "--function", "all", "--json"])
     first = capsys.readouterr().out
@@ -235,6 +256,15 @@ def test_conjugate_command(instance_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert [row["phi_star"] for row in report["table"]] == [0, 0.5, 2]
+
+
+def test_conjugate_atom_out_of_range_is_an_input_error(instance_file, capsys):
+    # the instance has two atoms, so index 2 is one past the end
+    code = run(["conjugate", "--instance", instance_file, "--atom", "2", "--json"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "atom index 2 out of range" in captured.err
 
 
 def test_text_output_has_wall_time(instance_file, capsys):
