@@ -367,10 +367,10 @@ def verify_support_functional(
                 total <= 1.0 + eps_eq,
             )
         )
-        pinned = _pinned_density(conj, space, u)
         worst = max(
-            (abs(vi - want) for ui, vi, want in zip(u.values, f.v.values, pinned) if ui != 0.0),
-            default=0.0,
+            abs(vi - want)
+            for ui, vi, want in zip(u.values, f.v.values, _pinned_density(conj, space, u))
+            if ui != 0.0
         )
         clauses.append(ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= eps_eq))
 
