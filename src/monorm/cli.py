@@ -325,17 +325,30 @@ def _render_text(report: dict, indent: int = 0) -> str:
 
 
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Every subcommand with its help; only `command`'s gets its arguments,
-    -h included, since argparse reads no others and each costs a help
-    formatter."""
+    """Two parsers: the top-level one and `command`'s, if COMMANDS names it.
+
+    Every name in COMMANDS is registered with its help line, so the
+    top-level help and the invalid-choice error list them all, but argparse
+    builds each subparser through `parser_class`, and only `command`'s is an
+    ArgumentParser; the others are None.  argparse parses with the parser its
+    first positional word names.  That word is `command` (the first word
+    without a leading dash, as `run` picks it) or one with a leading dash,
+    which no name has, so argparse rejects it as an invalid choice before it
+    looks up a parser."""
     parser = argparse.ArgumentParser(
         prog="monorm",
         description="Musielak-Orlicz norm computations on grid instances",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(
+        dest="command",
+        required=True,
+        parser_class=lambda **kw: (
+            argparse.ArgumentParser(**kw) if kw["prog"] == f"monorm {command}" else None
+        ),
+    )
     for name, (_, help_text, takes_instance, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text, add_help=name == command)
-        if name != command:
+        p = sub.add_parser(name, help=help_text)
+        if p is None:
             continue
         p.add_argument("--json", action="store_true", help="emit a JSON report")
         if takes_instance:

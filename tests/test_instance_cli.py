@@ -1,3 +1,4 @@
+import argparse
 import importlib
 import json
 import math
@@ -345,6 +346,39 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     assert run(case["argv"]) == case["code"]
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
+
+
+def _count_parsers(monkeypatch) -> list:
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    return built
+
+
+def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch, capsys):
+    built = _count_parsers(monkeypatch)
+    assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 0
+    assert built == ["monorm", "monorm gap"]
+    for argv in (["bogus"], ["--help"]):
+        built.clear()
+        run(argv)
+        assert len(built) <= 2, argv
+    capsys.readouterr()
+
+
+def test_negative_option_values_need_the_equals_form(instance_file, capsys):
+    # argparse takes "-1e3" for an option flag (it reads only "-1", "-.5"
+    # and the like as negative numbers), so the value goes after "="
+    assert run(["gap", "--instance", instance_file, "--delta", "-1e3"]) == 2
+    assert "argument --delta: expected one argument" in capsys.readouterr().err
+    argv = ["delta2", "--instance", instance_file, "--K", "4", "--f-const=-1e3"]
+    assert run(argv) == 2
+    assert capsys.readouterr().err == "error: threshold function must be nonnegative\n"
 
 
 #: the start of a command line that reaches each float option
