@@ -135,22 +135,27 @@ def _gap(hi: float, lo: float) -> float:
 
 def _segments(
     gen: OrliczGenerator,
-    conj: OrliczGenerator,
     space: GridMeasureSpace,
     u: SimpleFunction,
     k: float,
-):
-    """Per atom: (t, w, lo, hi, phi*(lo), phi*(hi)) of the subdifferential
-    at k|u_i|, with the argument widened by K_WIDEN_REL so that derivative
-    jumps sitting exactly at the boundary are seen whole.  An atom off the
-    support gets lo = 0 and hi = phi'_+(t, 0)."""
+) -> list[tuple[float, float, float, float]]:
+    """Per atom: (t, w, lo, hi) of the subdifferential at k|u_i|, with the
+    argument widened by K_WIDEN_REL so that derivative jumps sitting exactly
+    at the boundary are seen whole.  An atom off the support gets lo = 0 and
+    hi = phi'_+(t, 0)."""
     segs = []
     for (t, w), ui in zip(space.items(), u.values):
         x = k * abs(ui)
         lo = gen.left_deriv(t, x * (1.0 - K_WIDEN_REL))
         hi = gen.right_deriv(t, x * (1.0 + K_WIDEN_REL))
-        segs.append((t, w, lo, hi, conj.phi(t, lo), conj.phi(t, hi)))
+        segs.append((t, w, lo, hi))
     return segs
+
+
+def _with_conjugate(conj: OrliczGenerator, segs):
+    """_segments rows extended by the conjugate at both ends:
+    (t, w, lo, hi, phi*(lo), phi*(hi))."""
+    return [(t, w, lo, hi, conj.phi(t, lo), conj.phi(t, hi)) for t, w, lo, hi in segs]
 
 
 def _flat(ks: KSetNonEmpty) -> bool:
@@ -160,7 +165,6 @@ def _flat(ks: KSetNonEmpty) -> bool:
 
 def _boxes(
     gen: OrliczGenerator,
-    conj: OrliczGenerator,
     space: GridMeasureSpace,
     u: SimpleFunction,
     ks: KSetNonEmpty,
@@ -169,12 +173,12 @@ def _boxes(
     every k in K(u).  One-sided derivatives are nondecreasing, so on a flat
     K(u) the boxes at k* and k** settle every k between: their intersection
     is returned unclamped (hi < lo when no magnitude fits both)."""
-    boxes = [seg[:4] for seg in _segments(gen, conj, space, u, ks.k_star)]
+    boxes = _segments(gen, space, u, ks.k_star)
     if _flat(ks):
-        far = _segments(gen, conj, space, u, ks.k_double_star)
+        far = _segments(gen, space, u, ks.k_double_star)
         boxes = [
-            (t, w, max(lo, seg[2]), min(hi, seg[3]))
-            for (t, w, lo, hi), seg in zip(boxes, far)
+            (t, w, max(lo, far_lo), min(hi, far_hi))
+            for (t, w, lo, hi), (_, _, far_lo, far_hi) in zip(boxes, far)
         ]
     return boxes
 
@@ -276,7 +280,7 @@ def construct_support_functional(
             limit_construct=False,
         )
 
-    segs = _segments(gen, conj, space, u, ks.k_star)
+    segs = _with_conjugate(conj, _segments(gen, space, u, ks.k_star))
     values, total = _select_density(conj, space, u, segs, range(len(space)))
     s_norm = max(0.0, 1.0 - total)
     if s_norm < eps_eq:
@@ -350,7 +354,7 @@ def verify_support_functional(
                     "(non-atomic-limit construct)",
                 )
             )
-        boxes = _boxes(gen, conj, space, u, ks)
+        boxes = _boxes(gen, space, u, ks)
         worst = max(
             _excess(lo, hi, ui, vi, eps_eq)
             for (_, _, lo, hi), ui, vi in zip(boxes, u.values, f.v.values)
@@ -406,7 +410,7 @@ def classify_smooth_point(
 
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
-        segs = _segments(gen, conj, space, u, ks.k_star)
+        segs = _with_conjugate(conj, _segments(gen, space, u, ks.k_star))
         i_lo = weighted_sum(space.weights, [seg[4] for seg in segs])
         i_hi = weighted_sum(space.weights, [seg[5] for seg in segs])
         cond_i = abs(i_lo - 1.0) <= eps_eq
@@ -659,7 +663,7 @@ def support_density_survey(
         # the support is free inside the boxes over K(u), off it pinned to 0
         free = [i for i, ui in enumerate(u.values) if ui != 0.0]
         base = [0.0] * len(space)
-        boxes = _boxes(gen, conj, space, u, ks)
+        boxes = _boxes(gen, space, u, ks)
         step_cost = 0.0
         for i in free:
             t, w, lo, hi = boxes[i]

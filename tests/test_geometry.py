@@ -21,6 +21,8 @@ from monorm import (
     support_density_survey,
     verify_support_functional,
 )
+from monorm import geometry
+from monorm.conjugate import conjugate
 from monorm.errors import DomainError
 from conftest import random_instance
 
@@ -193,6 +195,33 @@ def test_verify_on_wide_interval(plateau):
         clause = verify_support_functional(gen, space, u, f).clauses[2]
         assert not clause.passed, vals
         assert clause.value == pytest.approx(excess, abs=1e-12), vals
+
+
+class _CountingConjugate:
+    """Delegates to a conjugate and counts its phi evaluations."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def phi(self, t, v):
+        self.calls += 1
+        return self.inner.phi(t, v)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+def test_verify_evaluates_the_conjugate_only_for_the_modular(plateau, monkeypatch):
+    # the boxes at k* and k** need one-sided derivatives only; the one
+    # conjugate value per atom is the modular of the density
+    gen, space, u = plateau
+    sf = construct_support_functional(gen, space, u)
+    counting = _CountingConjugate(conjugate(gen))
+    monkeypatch.setattr(geometry, "conjugate", lambda g: counting)
+    rep = verify_support_functional(gen, space, u, DualDensity(sf.density, 0.0))
+    assert rep.passed
+    assert counting.calls == len(space)
 
 
 def test_space_smoothness_families(two_atoms, kink_quadratic):
