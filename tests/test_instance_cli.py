@@ -360,7 +360,7 @@ def _count_parsers(monkeypatch) -> list:
     return built
 
 
-def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch, capsys):
+def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
     built = _count_parsers(monkeypatch)
     assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 0
     assert built == ["monorm", "monorm gap"]
@@ -368,7 +368,6 @@ def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch, c
         built.clear()
         run(argv)
         assert len(built) <= 2, argv
-    capsys.readouterr()
 
 
 def test_negative_option_values_need_the_equals_form(instance_file, capsys):
