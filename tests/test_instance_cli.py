@@ -348,7 +348,7 @@ def test_help_and_usage_texts_are_unchanged(case, capsys, monkeypatch):
     assert capsys.readouterr() == (case["stdout"], case["stderr"])
 
 
-def _count_parsers(monkeypatch) -> list:
+def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -357,11 +357,6 @@ def _count_parsers(monkeypatch) -> list:
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
-    return built
-
-
-def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
-    built = _count_parsers(monkeypatch)
     assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 0
     assert built == ["monorm", "monorm gap"]
     for argv in (["bogus"], ["--help"]):
