@@ -167,10 +167,13 @@ class OrliczGenerator:
         raise NotImplementedError
 
     def derivative_jumps(self, t: float) -> list[tuple[float, float, float]]:
-        """Jump discontinuities of the derivative as (location, lo, hi).
+        """Jump discontinuities of the derivative as (location, lo, hi),
+        with lo = phi'_-(t, location) and hi = phi'_+(t, location) exactly.
 
-        Includes the convention gap (0, 0, phi'_+(t,0)) when the right
-        derivative at the origin is positive.
+        Lists every jump of positive size, the convention gap
+        (0, 0, phi'_+(t,0)) included when the right derivative at the origin
+        is positive, so the list is empty exactly when phi(t, .) is
+        continuously differentiable with phi'(t, 0) = 0.
         """
         raise NotImplementedError
 
@@ -534,7 +537,7 @@ class PiecewiseGenerator(OrliczGenerator):
         for j in range(1, len(self.pieces)):
             p = self.pieces[j]
             if p.jump > 0:
-                out.append((starts[j], derivs[j] - p.jump, derivs[j]))
+                out.append((starts[j], self._left(t, starts[j]), derivs[j]))
         if self.bounded:
             out.append((end, end_deriv, math.inf))
         return out

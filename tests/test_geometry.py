@@ -2,15 +2,20 @@ import math
 import random
 
 import pytest
+from hypothesis import assume, example, given, strategies as st
 
 from monorm import (
     DualDensity,
     ExpMinusOneGenerator,
+    GridMeasureSpace,
     IndicatorGenerator,
     KSetNonEmpty,
     LinearGenerator,
+    Piece,
+    PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
+    VariableExponentGenerator,
     check_space_smoothness,
     classify_smooth_point,
     construct_support_functional,
@@ -19,12 +24,13 @@ from monorm import (
     orlicz_amemiya_norm,
     smoothness_gap_function,
     support_density_survey,
+    truncate,
     verify_support_functional,
 )
 from monorm import geometry
 from monorm.conjugate import conjugate
 from monorm.errors import DomainError
-from conftest import random_instance
+from conftest import all_families, random_instance
 
 
 def test_construct_power(two_atoms):
@@ -156,6 +162,33 @@ def test_classify_linear_off_support(two_atoms):
     assert rep.smooth
 
 
+def test_classify_zero_bound_off_support_is_exact(two_atoms):
+    # a* = slope of the conjugate indicator: any a* > 0 off the support
+    # fails the clause, however small, and serves as the second witness
+    for slope in (1e-8, 2.0):
+        u = SimpleFunction.on(two_atoms, (0.0, 0.5))
+        rep = classify_smooth_point(LinearGenerator(slope), two_atoms, u)
+        clause = rep.conditions["conjugate_zero_bound_off_support"]
+        assert (clause.value, clause.passed) == (slope, False)
+        assert not rep.smooth
+        assert rep.witnesses is not None
+        assert [w.values[0] for w in rep.witnesses] == [0.0, slope]
+
+
+def test_classify_finite_beyond_k_star_near_theta():
+    # bounded plq with b = 1 and u = (1, 1): I(lambda u) < inf exactly for
+    # lambda <= 1/theta = 1, and k* = 1 - 1e-8 sits just below it
+    w = (1.0 - 1e-8) ** -2
+    space = GridMeasureSpace((0.25, 0.75), (w, w))
+    gen = PiecewiseGenerator((Piece(1.0, 0.0, 1.0),), bounded=True)
+    u = SimpleFunction.on(space, (1.0, 1.0))
+    assert k_interval(gen, space, u).k_star == pytest.approx(1.0 - 1e-8, abs=1e-10)
+    rep = classify_smooth_point(gen, space, u)
+    clause = rep.conditions["finite_beyond_k_star"]
+    assert (clause.value, clause.passed) == (1.0, True)
+    assert rep.smooth
+
+
 def test_classify_rejects_zero(two_atoms):
     with pytest.raises(DomainError):
         classify_smooth_point(PowerGenerator(2.0), two_atoms, SimpleFunction.on(two_atoms, (0, 0)))
@@ -232,6 +265,70 @@ def test_space_smoothness_families(two_atoms, kink_quadratic):
     assert check_space_smoothness(IndicatorGenerator(1.0), two_atoms).failing() == {"b", "c"}
     assert check_space_smoothness(kink_quadratic, two_atoms).failing() == {"c"}
     assert check_space_smoothness(ExpMinusOneGenerator(), two_atoms).failing() == {"b"}
+    # the verdicts read the closed forms, so a small jump or a tiny scale
+    # changes nothing: b* = inf for the conjugate of indicator(1e-300), and
+    # linear(1e-300) still jumps at the origin
+    small_jump = PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 0.005, 1.0)))
+    assert check_space_smoothness(small_jump, two_atoms).failing() == {"c"}
+    assert check_space_smoothness(IndicatorGenerator(1e-300), two_atoms).failing() == {"b", "c"}
+    assert check_space_smoothness(LinearGenerator(1e-300), two_atoms).failing() == {"a", "c"}
+
+
+def _failing(gen, space):
+    return check_space_smoothness(gen, space).failing()
+
+
+#: (width, jump, slope) rows of a plq; the last width is dropped unless bounded
+PLQ_ROWS = st.lists(
+    st.tuples(
+        st.sampled_from((0.25, 1.0, 4.0)),
+        st.sampled_from((0.0, 0.005, 0.02, 1.0)),
+        st.sampled_from((0.0, 0.5, 2.0)),
+    ),
+    min_size=1,
+    max_size=3,
+)
+SCALES = st.floats(1e-3, 1e3)
+
+
+def _plq(rows, bounded, a=1.0):
+    """a * phi for the plq with the given rows (jumps and slopes times a)."""
+    pieces = [Piece(w, a * j, a * s) for w, j, s in rows]
+    if not bounded:
+        pieces[-1] = pieces[-1]._replace(width=None)
+    try:
+        return PiecewiseGenerator(tuple(pieces), bounded)
+    except ValueError:
+        assume(False)
+
+
+@given(PLQ_ROWS, st.booleans(), SCALES)
+@example([(1.0, 0.0, 1.0), (1.0, 0.02, 1.0)], False, 0.1)
+def test_space_smoothness_is_scale_invariant_plq(rows, bounded, a):
+    space = GridMeasureSpace.uniform(2)
+    assert _failing(_plq(rows, bounded, a), space) == _failing(_plq(rows, bounded), space)
+
+
+@given(SCALES, st.floats(1e-3, 1e3), st.floats(1e-3, 1e3))
+def test_space_smoothness_is_scale_invariant(a, x, y):
+    # phi -> a phi scales the linear slope and the varexp coefficients; the
+    # indicator is unchanged by it, so scale its threshold instead
+    space = GridMeasureSpace.uniform(2)
+    for make in (
+        lambda s: LinearGenerator(s * x),
+        lambda s: IndicatorGenerator(s * x),
+        lambda s: VariableExponentGenerator.from_values(space, [1.5, 3.0], [s * x, s * y]),
+    ):
+        assert _failing(make(a), space) == _failing(make(1.0), space)
+
+
+@given(PLQ_ROWS, st.booleans(), st.integers(1, 4), st.integers(1, 3))
+def test_space_smoothness_is_invariant_under_refinement(rows, bounded, k, n):
+    space = GridMeasureSpace.uniform(n)
+    fine = space.refine(k)
+    gens = [g for g in all_families(space) if not g.t_dependent] + [_plq(rows, bounded)]
+    for gen in gens + [truncate(g, 0.5) for g in gens]:
+        assert _failing(gen, fine) == _failing(gen, space), gen
 
 
 def test_gap_function_examples(two_atoms, kink_linear):
