@@ -9,7 +9,6 @@ classification.
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 from .generators import (
     CappedGenerator,
-    Delta2Profile,
     ExpMinusOneGenerator,
     IndicatorGenerator,
     LinearGenerator,

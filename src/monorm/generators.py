@@ -34,7 +34,7 @@ import operator
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 from .space import GridMeasureSpace, SimpleFunction
@@ -51,7 +51,6 @@ __all__ = [
     "PiecewiseGenerator",
     "TruncatedGenerator",
     "CappedGenerator",
-    "Delta2Profile",
     "subdiff",
     "generator_bounds",
     "modular",
@@ -96,15 +95,6 @@ def _conjugate_power(p: float, c: float) -> tuple[float, float]:
     return q, c_star
 
 
-@dataclass(frozen=True)
-class Delta2Profile:
-    """A doubling constant K and threshold f witnessing phi(t,2u) <= K phi(t,u)
-    for u >= f; carried by families known to satisfy the doubling condition."""
-
-    constant: float
-    threshold: float = 0.0
-
-
 class OrliczGenerator:
     """Base class: evaluation, one-sided derivatives, and structure.
 
@@ -115,8 +105,8 @@ class OrliczGenerator:
     family: str = "abstract"
     #: phi(t, u) < inf for every finite u
     finite_valued: bool = True
-    #: phi(t, u) depends on t (per-atom parameters)
-    t_dependent: bool = False
+    #: phi(t, 2u) <= K phi(t, u) for some K and every u >= 1.25 a(t)
+    doubling: bool = False
 
     # -- evaluation ----------------------------------------------------------
 
@@ -154,11 +144,6 @@ class OrliczGenerator:
 
     def finite_bound(self, t: float) -> float:
         return math.inf
-
-    def delta2_profile(self, coords: Sequence[float]) -> Optional[Delta2Profile]:
-        """A (K, f) pair for the doubling condition at the atoms at coords,
-        or None if the family does not satisfy it."""
-        return None
 
     # -- to be provided by families -------------------------------------------
 
@@ -203,6 +188,7 @@ class PowerGenerator(OrliczGenerator):
     p: float
     family = "power"
     finite_valued = True
+    doubling = True
 
     def __post_init__(self) -> None:
         if not 1.0 < self.p < math.inf:
@@ -225,9 +211,6 @@ class PowerGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self, coords):
-        return Delta2Profile(_pow(2.0, self.p))
-
     def derivative_threshold(self, t, n):
         return _pow(n, 1.0 / (self.p - 1.0))
 
@@ -247,7 +230,7 @@ class VariableExponentGenerator(OrliczGenerator):
     coef: tuple[float, ...] | None = None
     family = "varexp"
     finite_valued = True
-    t_dependent = True
+    doubling = True
 
     def __post_init__(self) -> None:
         n = len(self.coords)
@@ -305,9 +288,6 @@ class VariableExponentGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self, coords):
-        return Delta2Profile(_pow(2.0, max(self.exponent)))
-
     def derivative_threshold(self, t, n):
         p, c = self._at(t)
         return _pow(n / (c * p), 1.0 / (p - 1.0))
@@ -345,6 +325,7 @@ class XLogXGenerator(OrliczGenerator):
 
     family = "xlogx"
     finite_valued = True
+    doubling = True
 
     def _phi(self, t, u):
         return (1.0 + u) * math.log1p(u) - u
@@ -361,10 +342,6 @@ class XLogXGenerator(OrliczGenerator):
     def derivative_jumps(self, t):
         return []
 
-    def delta2_profile(self, coords):
-        # phi(2v)/phi(v) decreases from 4 (v -> 0) to 2 (v -> inf)
-        return Delta2Profile(4.0)
-
     def derivative_threshold(self, t, n):
         return _expm1(n)
 
@@ -376,6 +353,7 @@ class LinearGenerator(OrliczGenerator):
     slope: float = 1.0
     family = "linear"
     finite_valued = True
+    doubling = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.slope < math.inf:
@@ -395,9 +373,6 @@ class LinearGenerator(OrliczGenerator):
 
     def derivative_jumps(self, t):
         return [(0.0, 0.0, self.slope)]
-
-    def delta2_profile(self, coords):
-        return Delta2Profile(2.0)
 
     def derivative_threshold(self, t, n):
         return math.inf if self.slope <= n else 0.0
@@ -493,6 +468,10 @@ class PiecewiseGenerator(OrliczGenerator):
     def finite_valued(self):  # type: ignore[override]
         return not self.bounded
 
+    @property
+    def doubling(self):  # type: ignore[override]
+        return not self.bounded
+
     def _locate_right(self, u: float) -> int:
         starts = self._table[0]
         return max(0, bisect_right(starts, u) - 1)
@@ -544,9 +523,6 @@ class PiecewiseGenerator(OrliczGenerator):
 
     def analytic_conjugate(self):
         return PiecewiseGenerator(*_conjugate_pieces(self.pieces, self.bounded))
-
-    def delta2_profile(self, coords):
-        return None if self.bounded else _sampled_delta2_profile(self, coords)
 
     def derivative_threshold(self, t, n):
         starts, derivs, _, end, _, end_deriv = self._table
@@ -634,29 +610,6 @@ def _conjugate_pieces(pieces: tuple[Piece, ...], bounded: bool):
     return tuple(conj), conj_bounded
 
 
-def _sampled_delta2_profile(gen: OrliczGenerator, coords: Sequence[float]) -> Delta2Profile:
-    """Sampled sup of phi(t,2u)/phi(t,u) over the atoms at coords (one of
-    them when phi does not depend on t) and u >= f = 1.25 max a(t), with a
-    safety margin."""
-    if not gen.t_dependent:
-        coords = coords[:1]
-    f = 1.25 * max(gen.zero_bound(t) for t in coords)
-    lo = max(f, 1e-6)
-    hi = 1e5 * (1.0 + lo)
-    worst = 2.0
-    steps = 240
-    ratio_step = (hi / lo) ** (1.0 / steps)
-    for t in coords:
-        u = lo
-        for _ in range(steps + 1):
-            den = gen.phi(t, u)
-            num = gen.phi(t, 2.0 * u)
-            if math.isfinite(den) and den > 0 and math.isfinite(num):
-                worst = max(worst, num / den)
-            u *= ratio_step
-    return Delta2Profile(worst * 1.02, f)
-
-
 # ---------------------------------------------------------------------------
 # truncation
 # ---------------------------------------------------------------------------
@@ -673,16 +626,13 @@ class TruncatedGenerator(OrliczGenerator):
     n: float
     family = "truncated"
     finite_valued = True
+    doubling = True
 
     _thresholds: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self) -> None:
         if not self.n > 0:
             raise ValueError("truncation level must be > 0")
-
-    @property
-    def t_dependent(self) -> bool:
-        return self.base.t_dependent
 
     def _threshold(self, t: float) -> float:
         u_n = self._thresholds.get(t)
@@ -714,9 +664,6 @@ class TruncatedGenerator(OrliczGenerator):
             if lo2 < hi2:
                 out.append((x, lo2, hi2))
         return out
-
-    def delta2_profile(self, coords):
-        return _sampled_delta2_profile(self, coords)
 
     def derivative_threshold(self, t, n):
         if n >= self.n:

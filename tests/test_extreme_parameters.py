@@ -84,15 +84,20 @@ def test_built_generators_and_conjugates_validate_clean():
 def test_smooth_space_verdicts_do_not_depend_on_the_scale(tmp_path, capsys):
     # the linear slope, the indicator threshold and the varexp coefficient
     # scale phi or its argument, and a truncation at the same x moves with
-    # them: every file that is accepted gets the verdict of x = 1.5
+    # them: every file that is accepted gets the verdict of x = 1.5; the
+    # truncated expminusone and xlogx have the truncation level alone
     path = tmp_path / "inst.json"
 
     def failing(x):
         out = []
         for spec in _family_specs(x):
-            if spec["family"] not in ("linear", "indicator") and "c_values" not in spec:
+            if spec["family"] in ("expminusone", "xlogx"):
+                phis = [dict(spec, truncate=x)]
+            elif spec["family"] in ("linear", "indicator") or "c_values" in spec:
+                phis = [spec, dict(spec, truncate=x)]
+            else:
                 continue
-            for phi in (spec, dict(spec, truncate=x)):
+            for phi in phis:
                 _write_instance(path, phi)
                 code = run(["smooth-space", "--instance", str(path), "--json"])
                 report = capsys.readouterr().out
@@ -107,4 +112,4 @@ def test_smooth_space_verdicts_do_not_depend_on_the_scale(tmp_path, capsys):
             if verdict is not None:
                 assert verdict == want, phi
                 accepted += 1
-    assert accepted == 50
+    assert accepted == 72

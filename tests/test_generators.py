@@ -306,21 +306,7 @@ def test_overflow_during_evaluation_saturates(two_atoms):
     assert PowerGenerator(1.0001).derivative_threshold(t, 1.5) == math.inf
     assert varexp.derivative_threshold(t, 1.5) == math.inf
     assert XLogXGenerator().derivative_threshold(t, 1e9) == math.inf
-    assert PowerGenerator(1e9).delta2_profile((0.5,)).constant == math.inf
     assert truncate(XLogXGenerator(), 1e9).phi(t, 1e300) == XLogXGenerator().phi(t, 1e300)
-
-
-def test_sampled_doubling_constant_covers_every_atom():
-    space = GridMeasureSpace.uniform(3)
-    varexp = VariableExponentGenerator.from_values(space, [3.0, 2.0, 1.5])
-    for gen in (truncate(varexp, 3.0), truncate(truncate(varexp, 5.0), 3.0)):
-        per_atom = [gen.delta2_profile((t,)).constant for t in space.coords]
-        assert per_atom[0] > per_atom[1] > per_atom[2]
-        assert gen.delta2_profile(space.coords[::-1]).constant == per_atom[0]
-    # t-independent generators sample one atom, which stands for all
-    plq = PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(None, 1.0, 0.0)))
-    for gen in (plq, truncate(PowerGenerator(2.0), 3.0)):
-        assert gen.delta2_profile(space.coords) == gen.delta2_profile(space.coords[:1])
 
 
 def test_plq_matches_named_families():

@@ -16,9 +16,11 @@ from monorm import (
     PowerGenerator,
     SimpleFunction,
     VariableExponentGenerator,
+    XLogXGenerator,
     check_space_smoothness,
     classify_smooth_point,
     construct_support_functional,
+    delta2_check,
     dual_functional_norm,
     k_interval,
     orlicz_amemiya_norm,
@@ -27,7 +29,7 @@ from monorm import (
     truncate,
     verify_support_functional,
 )
-from monorm import geometry
+from monorm import geometry, selfcheck
 from monorm.conjugate import conjugate
 from monorm.errors import DomainError
 from conftest import all_families, random_instance
@@ -272,6 +274,31 @@ def test_space_smoothness_families(two_atoms, kink_quadratic):
     assert check_space_smoothness(small_jump, two_atoms).failing() == {"c"}
     assert check_space_smoothness(IndicatorGenerator(1e-300), two_atoms).failing() == {"b", "c"}
     assert check_space_smoothness(LinearGenerator(1e-300), two_atoms).failing() == {"a", "c"}
+    # clause (a) reads b* itself: the conjugate of a truncation is capped at
+    # n, and phi*(b*) = exp(1e9) - 1 - 1e9 overflowing must not pass it;
+    # clause (b) evaluates nothing, so a threshold at 1e300 is no input error
+    assert check_space_smoothness(truncate(XLogXGenerator(), 1e9), two_atoms).failing() == {"a"}
+    truncated_indicator = truncate(IndicatorGenerator(1e300), 1e300)
+    assert check_space_smoothness(truncated_indicator, two_atoms).failing() == {"a", "c"}
+
+
+def test_family_flags_agree_with_sampled_checks(two_atoms):
+    # check_space_smoothness trusts the doubling flag for clause (b), and
+    # for clause (a) that phi(t, b(t)) < inf wherever b(t) < inf
+    bounded_plq = PiecewiseGenerator((Piece(1.0, 0.0, 1.0), Piece(1.0, 0.5, 0.0)), bounded=True)
+    gens = all_families(two_atoms) + [bounded_plq, selfcheck.plateau()]
+    gens += [truncate(g, 3.0) for g in gens]
+    gens += [conjugate(g) for g in gens]
+    assert len(gens) == 44
+    for gen in gens:
+        if gen.doubling:
+            f = 1.25 * max(gen.zero_bound(t) for t in two_atoms.coords)
+            assert delta2_check(gen, two_atoms, 256.0, f).holds, gen
+        else:
+            assert not delta2_check(gen, two_atoms, 256.0).holds, gen
+        for t in two_atoms.coords:
+            b = gen.finite_bound(t)
+            assert math.isinf(b) or math.isfinite(gen.phi(t, b)), gen
 
 
 def _failing(gen, space):
@@ -326,7 +353,8 @@ def test_space_smoothness_is_scale_invariant(a, x, y):
 def test_space_smoothness_is_invariant_under_refinement(rows, bounded, k, n):
     space = GridMeasureSpace.uniform(n)
     fine = space.refine(k)
-    gens = [g for g in all_families(space) if not g.t_dependent] + [_plq(rows, bounded)]
+    plain = [g for g in all_families(space) if not isinstance(g, VariableExponentGenerator)]
+    gens = plain + [_plq(rows, bounded)]
     for gen in gens + [truncate(g, 0.5) for g in gens]:
         assert _failing(gen, fine) == _failing(gen, space), gen
 
