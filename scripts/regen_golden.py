@@ -10,8 +10,10 @@ relative to tests/golden/); its report is the exact stdout of
 
 `--check` exits 1 when any report differs and prints, per numeric field, the
 largest absolute and the largest relative difference between the stored and
-the fresh report (list indices folded into `[]`), which is the summary to
-quote whenever a change moves numbers on purpose.  For a value near 0 (a gap,
+the fresh report (list indices folded into `[]`), and, under each other field
+that changed, every differing old -> new value (booleans and strings), so a
+flipped verdict shows as such.  That is the summary to quote whenever a
+change moves numbers on purpose.  For a value near 0 (a gap,
 say) any change reads as relative difference 1, so the absolute one is the
 informative one there.
 """
@@ -72,6 +74,19 @@ def _is_number(x) -> bool:
     return x == "inf" or (isinstance(x, (int, float)) and not isinstance(x, bool))
 
 
+def _leaf_pairs(a, b, path: str = ""):
+    """(path, old, new) per pair of leaves, walking both reports while their
+    shapes agree; list indices fold into `[]`, the top level is <report>."""
+    if isinstance(a, dict) and isinstance(b, dict) and set(a) == set(b):
+        for key in a:
+            yield from _leaf_pairs(a[key], b[key], f"{path}.{key}" if path else key)
+    elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
+        for x, y in zip(a, b):
+            yield from _leaf_pairs(x, y, f"{path}[]")
+    else:
+        yield path or "<report>", a, b
+
+
 def field_diffs(
     expected: str, actual: str, measure: Callable = _rel_diff
 ) -> dict[str, float | str]:
@@ -83,33 +98,42 @@ def field_diffs(
     except json.JSONDecodeError:
         return {"<report>": "not JSON"}
     diffs: dict[str, float | str] = {}
-
-    def walk(a, b, path: str) -> None:
-        if isinstance(a, dict) and isinstance(b, dict) and set(a) == set(b):
-            for key in a:
-                walk(a[key], b[key], f"{path}.{key}" if path else key)
-        elif isinstance(a, list) and isinstance(b, list) and len(a) == len(b):
-            for x, y in zip(a, b):
-                walk(x, y, f"{path}[]")
-        elif _is_number(a) and _is_number(b):
+    for path, a, b in _leaf_pairs(old, new):
+        if _is_number(a) and _is_number(b):
             prev = diffs.get(path, 0.0)
             if prev != "changed":
                 diffs[path] = max(prev, measure(a, b))
         elif a != b:
-            diffs[path or "<report>"] = "changed"
-
-    walk(old, new, "")
+            diffs[path] = "changed"
     return {k: v for k, v in diffs.items() if v != 0.0}
 
 
+def _changed_values(old, new) -> dict[str, list[str]]:
+    """Per field, the differing old -> new pairs of booleans and strings."""
+    pairs: dict[str, list[str]] = {}
+    for path, a, b in _leaf_pairs(old, new):
+        if a != b and all(isinstance(x, (bool, str)) for x in (a, b)):
+            pairs.setdefault(path, []).append(f"{json.dumps(a)} -> {json.dumps(b)}")
+    return pairs
+
+
 def format_diffs(expected: str, actual: str) -> str:
+    try:
+        values = _changed_values(json.loads(expected), json.loads(actual))
+    except json.JSONDecodeError:
+        values = {}
     rel = field_diffs(expected, actual)
     gaps = field_diffs(expected, actual, _abs_diff)
-    return "\n".join(
-        f"  {path}: "
-        + (v if isinstance(v, str) else f"max abs diff {gaps[path]:.3g}, max rel diff {v:.3g}")
-        for path, v in sorted(rel.items())
-    )
+    lines = []
+    for path, v in sorted(rel.items()):
+        if isinstance(v, str):
+            lines.append(f"  {path}: {v}")
+            lines.extend(f"    {pair}" for pair in values.get(path, []))
+        else:
+            lines.append(
+                f"  {path}: max abs diff {gaps[path]:.3g}, max rel diff {v:.3g}"
+            )
+    return "\n".join(lines)
 
 
 def check_case(case: dict) -> str | None:

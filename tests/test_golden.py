@@ -35,11 +35,14 @@ def test_field_diffs_reports_largest_relative_difference():
 
 
 def test_check_summary_quotes_absolute_and_relative_differences():
-    old = '{"gap":1e-10,"norm":2.0,"name":"x"}'
-    new = '{"gap":0,"norm":2.0,"name":"y"}'
+    old = '{"gap":1e-10,"norm":2.0,"name":"x","rows":[{"ok":true},{"ok":true}]}'
+    new = '{"gap":0,"norm":2.0,"name":"y","rows":[{"ok":true},{"ok":false}]}'
     gaps = golden.field_diffs(old, new, golden._abs_diff)
-    assert gaps == {"gap": 1e-10, "name": "changed"}
+    assert gaps == {"gap": 1e-10, "name": "changed", "rows[].ok": "changed"}
     assert golden.format_diffs(old, new).splitlines() == [
         "  gap: max abs diff 1e-10, max rel diff 1",
         "  name: changed",
+        '    "x" -> "y"',
+        "  rows[].ok: changed",
+        "    true -> false",
     ]
