@@ -3,7 +3,10 @@
 On the non-degenerate branch a support functional at u is built from the
 subdifferential of the generator along k* u: densities take values in
 [phi'_-(t, k*|u(t)|), phi'_+(t, k*|u(t)|)], and the conjugate modular of the
-selection must reach 1, any shortfall being singular mass.  On the
+selection must reach 1, any shortfall being singular mass.  K(u) holds k*
+and k** as bisection brackets; each derivative is read at the end of its
+bracket that gives the wider interval, so a derivative jump at the true k*
+is seen whole.  On the
 degenerate branch the density is pinned to b* on the support.
 
 Finite grids carry no genuinely singular functionals, so constructions that
@@ -11,8 +14,8 @@ need singular mass are flagged as non-atomic-limit constructs; their
 singular clause cannot be realized atom-by-atom.
 
 The "= 1" modular clauses and the density clauses of verification use the
-equality band eps_eq = 1e-7, absorbing the error of the nested 1e-10
-bisections underneath.  The structural clauses (derivative jumps, the
+equality band eps_eq = 1e-7, absorbing the 1e-10 width of the K(u)
+brackets.  The structural clauses (derivative jumps, the
 conjugate's bounds, theta) are read exactly from the closed forms, and the
 doubling condition from the family's flag, so the space-smoothness criterion
 evaluates no generator.
@@ -34,7 +37,7 @@ from .norms import (
     theta,
 )
 from .duality import DualDensity, dual_functional_norm, magnitude_cap
-from .solvers import BISECT_REL_TOL, monotone_cap
+from .solvers import monotone_cap
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 
 __all__ = [
@@ -54,9 +57,6 @@ __all__ = [
 ]
 
 EPS_EQ = 1e-7
-#: relative widening applied around bisected k-values when evaluating
-#: subdifferentials, so that derivative jumps at the boundary are seen whole
-K_WIDEN_REL = 5e-10
 
 
 @dataclass(frozen=True)
@@ -139,30 +139,23 @@ def _segments(
     gen: OrliczGenerator,
     space: GridMeasureSpace,
     u: SimpleFunction,
-    k: float,
+    k_lo: float,
+    k_hi: float,
 ) -> list[tuple[float, float, float, float]]:
-    """Per atom: (t, w, lo, hi) of the subdifferential at k|u_i|, with the
-    argument widened by K_WIDEN_REL so that derivative jumps sitting exactly
-    at the boundary are seen whole.  An atom off the support gets lo = 0 and
-    hi = phi'_+(t, 0)."""
-    segs = []
-    for (t, w), ui in zip(space.items(), u.values):
-        x = k * abs(ui)
-        lo = gen.left_deriv(t, x * (1.0 - K_WIDEN_REL))
-        hi = gen.right_deriv(t, x * (1.0 + K_WIDEN_REL))
-        segs.append((t, w, lo, hi))
-    return segs
+    """Per atom: (t, w, phi'_-(t, k_lo|u_i|), phi'_+(t, k_hi|u_i|)).  Given
+    the ends of a bracket around k, this holds the subdifferential at k|u_i|
+    whole, a derivative jump at k included.  An atom off the support gets
+    lo = 0 and hi = phi'_+(t, 0)."""
+    return [
+        (t, w, gen.left_deriv(t, k_lo * abs(ui)), gen.right_deriv(t, k_hi * abs(ui)))
+        for (t, w), ui in zip(space.items(), u.values)
+    ]
 
 
 def _with_conjugate(conj: OrliczGenerator, segs):
     """_segments rows extended by the conjugate at both ends:
     (t, w, lo, hi, phi*(lo), phi*(hi))."""
     return [(t, w, lo, hi, conj.phi(t, lo), conj.phi(t, hi)) for t, w, lo, hi in segs]
-
-
-def _flat(ks: KSetNonEmpty) -> bool:
-    """Whether K(u) is wider than the widening around its ends."""
-    return ks.k_double_star - ks.k_star > 4.0 * K_WIDEN_REL * ks.k_star
 
 
 def _boxes(
@@ -172,17 +165,12 @@ def _boxes(
     ks: KSetNonEmpty,
 ) -> list[tuple[float, float, float, float]]:
     """Per atom: (t, w, lo, hi) bounding the subdifferential at k|u_i| for
-    every k in K(u).  One-sided derivatives are nondecreasing, so on a flat
-    K(u) the boxes at k* and k** settle every k between: their intersection
-    is returned unclamped (hi < lo when no magnitude fits both)."""
-    boxes = _segments(gen, space, u, ks.k_star)
-    if _flat(ks):
-        far = _segments(gen, space, u, ks.k_double_star)
-        boxes = [
-            (t, w, max(lo, far_lo), min(hi, far_hi))
-            for (t, w, lo, hi), (_, _, far_lo, far_hi) in zip(boxes, far)
-        ]
-    return boxes
+    every k in K(u).  One-sided derivatives are nondecreasing, so the boxes
+    at k* and k** settle every k between, and their intersection is
+    [phi'_-(t, k**|u_i|), phi'_+(t, k*|u_i|)]: each end is read at the
+    permissive end of its bracket, and returned unclamped (hi < lo when no
+    magnitude fits both)."""
+    return _segments(gen, space, u, ks.dstar[0], ks.star[1])
 
 
 def _excess(lo: float, hi: float, ui: float, vi: float, eps_eq: float) -> float:
@@ -282,7 +270,7 @@ def construct_support_functional(
             limit_construct=False,
         )
 
-    segs = _with_conjugate(conj, _segments(gen, space, u, ks.k_star))
+    segs = _with_conjugate(conj, _segments(gen, space, u, *ks.star))
     values, total = _select_density(conj, space, u, segs, range(len(space)))
     s_norm = max(0.0, 1.0 - total)
     if s_norm < eps_eq:
@@ -399,8 +387,8 @@ def classify_smooth_point(
     Non-degenerate branch: smooth iff the conjugate modular of the left
     derivative at k*|u| equals 1, or that of the right derivative equals 1
     with the modular of lambda*u finite for some lambda > k*, that is
-    k* theta(u) < 1 (the extended-valued families are finite at b), with
-    k* at the top of its bisection bracket.  Degenerate branch: smooth iff
+    k* theta(u) < 1 (the extended-valued families are finite at b), read
+    at the top of the k* bracket.  Degenerate branch: smooth iff
     the mass of b* on the support equals 1 with a* = 0 off the support
     (read exactly), or the full-space mass of b* is < 1 and u has full
     support.  Non-smooth verdicts come with two distinct support densities
@@ -414,15 +402,16 @@ def classify_smooth_point(
 
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
-        segs = _with_conjugate(conj, _segments(gen, space, u, ks.k_star))
+        segs = _with_conjugate(conj, _segments(gen, space, u, *ks.star))
         i_lo = weighted_sum(space.weights, [seg[4] for seg in segs])
         i_hi = weighted_sum(space.weights, [seg[5] for seg in segs])
         cond_i = abs(i_lo - 1.0) <= eps_eq
         conditions["left_modular_at_one"] = ClauseCheck(
             "left_modular_at_one", i_lo, 1.0, cond_i
         )
-        # theta * k* first: theta = 0 (finite-valued) never meets an inf
-        finite_beyond = theta(gen, space, u) * ks.k_star * (1.0 + BISECT_REL_TOL) < 1.0
+        # theta first: theta = 0 (finite-valued) never meets an inf; the top
+        # of the k* bracket is at least the true k*, so no factor is needed
+        finite_beyond = theta(gen, space, u) * ks.star[1] < 1.0
         cond_ii_eq = abs(i_hi - 1.0) <= eps_eq
         cond_ii = cond_ii_eq and finite_beyond
         conditions["right_modular_at_one"] = ClauseCheck(

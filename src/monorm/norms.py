@@ -9,10 +9,12 @@ Norm conventions:
   b*(t) on the support of u is <= 1, in which case the norm degenerates to
   the weighted-L1 expression  integral of |u| b*.
 
-All bisections run to relative bracket width 1e-10.  The returned k* is a
-bracket midpoint; k** is the midpoint of a second bracket when the quotient
-is flat past k*, and equals k* when the first bracket already shows
-k** = k*.  Downstream "= 1" tests use a 1e-7 equality band.
+All bisections run to relative bracket width 1e-10.  K(u) carries the
+bisection brackets of its ends: k* lies in the first, and k** in a second
+one when the quotient is flat past k*, or in the first one again when that
+bracket already shows k** = k*.  The reported k* and k** are the bracket
+midpoints; the Orlicz norm and the geometry read the bracket ends.
+Downstream "= 1" tests use a 1e-7 equality band.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 from .conjugate import conjugate
 from .errors import DomainError, PreconditionError
 from .generators import OrliczGenerator, modular, weighted_sum
-from .solvers import BISECT_REL_TOL, monotone_boundary
+from .solvers import monotone_boundary
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = [
@@ -44,14 +46,24 @@ __all__ = [
 
 @dataclass(frozen=True)
 class KSetNonEmpty:
-    """Minimizer interval [k*, k**] of the Amemiya quotient, 0 < k* <= k**."""
+    """Minimizer interval [k*, k**] of the Amemiya quotient, held as the
+    (lo, hi) bisection brackets of its ends: k* in star, k** in dstar."""
 
-    k_star: float
-    k_double_star: float
+    star: tuple[float, float]
+    dstar: tuple[float, float]
 
     def __post_init__(self) -> None:
-        if not (0 < self.k_star <= self.k_double_star):
-            raise ValueError("need 0 < k* <= k**")
+        (lo1, hi1), (lo2, hi2) = self.star, self.dstar
+        if not (0 < lo1 <= hi1 and lo1 <= lo2 <= hi2 and hi1 <= hi2):
+            raise ValueError("need 0 < k* <= k** with nested brackets")
+
+    @property
+    def k_star(self) -> float:
+        return 0.5 * (self.star[0] + self.star[1])
+
+    @property
+    def k_double_star(self) -> float:
+        return 0.5 * (self.dstar[0] + self.dstar[1])
 
     @property
     def is_degenerate(self) -> bool:
@@ -150,16 +162,11 @@ def k_interval(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction)
     def above_one(k: float) -> bool:
         return derivative_modular(gen, conj, space, u, k) > 1.0
 
-    lo1, hi1 = monotone_boundary(at_least_one)
-    k_star = 0.5 * (lo1 + hi1)
-    if above_one(hi1):
+    star = monotone_boundary(at_least_one)
+    if above_one(star[1]):
         # k* <= k** <= hi1: the first bracket already pins k** = k*
-        return KSetNonEmpty(k_star, k_star)
-    lo2, hi2 = monotone_boundary(above_one, start=2.0 * hi1, lo=hi1)
-    k_dstar = 0.5 * (lo2 + hi2)
-    if k_dstar < k_star:
-        k_dstar = k_star
-    return KSetNonEmpty(k_star, k_dstar)
+        return KSetNonEmpty(star, star)
+    return KSetNonEmpty(star, monotone_boundary(above_one, start=2.0 * star[1], lo=star[1]))
 
 
 def _amemiya_objective(
@@ -173,25 +180,19 @@ def orlicz_amemiya_norm(
 ) -> tuple[float, KSet]:
     """The Orlicz norm via the Amemiya expression, together with K(u).
 
-    On the non-degenerate branch the quotient is evaluated at the bisected
-    k* and just outside both ends of its bracket, since the modular may jump
-    to infinity across the true minimizer.  The quotient is monotone on
-    either side of the minimizer set, so no probe farther from the bracket
-    could do better."""
+    On the non-degenerate branch the quotient is evaluated at both ends of
+    the k* bracket and at its midpoint, since the modular may jump to
+    infinity across the true minimizer.  The quotient falls before K(u) and
+    rises after it, so no probe outside the bracket could do better."""
     if u.is_zero():
         return 0.0, KSetDegenerate(0.0)
     ks = k_interval(gen, space, u)
     if isinstance(ks, KSetDegenerate):
         return ks.l1_value, ks
-    best = math.inf
-    for k in (
-        ks.k_star * (1.0 - BISECT_REL_TOL),
-        ks.k_star,
-        ks.k_star * (1.0 + BISECT_REL_TOL),
-    ):
-        val = _amemiya_objective(gen, space, u, k)
-        if val < best:
-            best = val
+    best = min(
+        _amemiya_objective(gen, space, u, k)
+        for k in (ks.star[0], ks.k_star, ks.star[1])
+    )
     if math.isinf(best):
         raise DomainError("Amemiya quotient infinite on the whole k* bracket")
     return best, ks

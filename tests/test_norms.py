@@ -59,6 +59,9 @@ def test_k_interval_examples(two_atoms):
     assert isinstance(ks, KSetNonEmpty)
     assert ks.k_star == pytest.approx(math.sqrt(2.0), abs=1e-9)
     assert ks.k_double_star == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    # k* is the midpoint of its bisection bracket, which K(u) carries
+    lo, hi = ks.star
+    assert lo < ks.k_star < hi and hi - lo <= 1e-10 * hi
 
     u12 = SimpleFunction.on(two_atoms, (1.0, 2.0))
     ks = k_interval(IndicatorGenerator(1.0), two_atoms, u12)
@@ -133,12 +136,21 @@ def test_orlicz_examples(two_atoms, kink_linear):
     val, _ = orlicz_amemiya_norm(PowerGenerator(2.0), two_atoms, u)
     assert val == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
+    # the indicator's quotient (1 + I(ku))/k is smallest at k* = 1/max|u|,
+    # where the modular is still 0: the norm is max|u| exactly
+    indicator = IndicatorGenerator(1.0)
+    assert orlicz_amemiya_norm(indicator, two_atoms, u)[0] == 1.0
+    u1m2 = SimpleFunction.on(two_atoms, (1.0, -2.0))
+    assert orlicz_amemiya_norm(indicator, two_atoms, u1m2)[0] == 2.0
+
     u12 = SimpleFunction.on(two_atoms, (1.0, 2.0))
     val, _ = orlicz_amemiya_norm(PowerGenerator(2.0), two_atoms, u12)
     assert val == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     val, ks = orlicz_amemiya_norm(kink_linear, two_atoms, u)
-    assert val == pytest.approx(1.5, abs=1e-9)
+    # the quotient is probed at the ends of the k* bracket, which lie on
+    # either side of the true k* = 1, so the kink is met exactly
+    assert val == 1.5
     assert isinstance(ks, KSetNonEmpty)
     assert ks.k_star == pytest.approx(1.0, abs=1e-9)
     assert ks.k_double_star == pytest.approx(1.0, abs=1e-9)
