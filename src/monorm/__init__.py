@@ -19,11 +19,9 @@ from .generators import (
     TruncatedGenerator,
     VariableExponentGenerator,
     XLogXGenerator,
-    generator_bounds,
     modular,
     subdiff,
     truncate,
-    validate_generator,
 )
 from .conjugate import NumericConjugate, biconjugate_residual, conjugate, young_gap
 from .norms import (

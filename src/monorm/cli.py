@@ -24,7 +24,6 @@ from .duality import (
 )
 from .errors import BracketError, MonormError, PostconditionError
 from .gallery import gallery_report
-from .generators import generator_bounds
 from .geometry import (
     EPS_EQ,
     check_space_smoothness,
@@ -101,7 +100,6 @@ def _cmd_conjugate(args, inst: Instance) -> dict:
         raise MonormError(f"atom index {args.atom} out of range")
     t = inst.space.coords[args.atom]
     conj = conjugate(inst.phi)
-    a, b = generator_bounds(conj, t)
     table = []
     for j in range(args.points):
         v = args.v_max * j / max(1, args.points - 1)
@@ -109,8 +107,8 @@ def _cmd_conjugate(args, inst: Instance) -> dict:
     return {
         "atom": args.atom,
         "t": t,
-        "zero_bound": a,
-        "finite_bound": b,
+        "zero_bound": conj.zero_bound(t),
+        "finite_bound": conj.finite_bound(t),
         "table": table,
     }
 

@@ -20,12 +20,12 @@ from monorm import (
     conjugate,
     subdiff,
     truncate,
-    validate_generator,
     young_gap,
 )
 from monorm.errors import InstanceError
 from monorm.instance import build_generator
 from conftest import all_families
+from generator_checks import validate_generator
 from test_extreme_parameters import VALUES, _family_specs
 
 T = 0.25

@@ -8,10 +8,11 @@ import json
 
 import pytest
 
-from monorm import GridMeasureSpace, conjugate, validate_generator
+from monorm import GridMeasureSpace, conjugate
 from monorm.cli import run
 from monorm.errors import InstanceError
 from monorm.instance import build_generator
+from generator_checks import validate_generator
 
 VALUES = [5e-324, 1e-300, 1e-9, 1.0 + 2.0**-52, 1.0001, 1.5, 1e9, 1e154, 1e300, 1.7e308]
 

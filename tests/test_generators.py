@@ -15,14 +15,14 @@ from monorm import (
     SimpleFunction,
     VariableExponentGenerator,
     XLogXGenerator,
-    generator_bounds,
+    conjugate,
     modular,
     subdiff,
     truncate,
-    validate_generator,
 )
 from monorm.errors import DomainError
 from conftest import all_families
+from generator_checks import validate_generator
 
 
 def test_eval_examples():
@@ -63,13 +63,13 @@ def test_subdiff_outside_domain_errors():
 
 
 def test_generator_bounds():
-    assert generator_bounds(PowerGenerator(2.0), 0.0) == (0.0, math.inf)
-    assert generator_bounds(IndicatorGenerator(1.0), 0.0) == (1.0, 1.0)
+    power = PowerGenerator(2.0)
+    assert power.zero_bound(0.0) == 0.0 and power.finite_bound(0.0) == math.inf
+    indicator = IndicatorGenerator(1.0)
+    assert indicator.zero_bound(0.0) == 1.0 and indicator.finite_bound(0.0) == 1.0
     # conjugate of linear growth: zero up to the slope, infinite beyond
-    from monorm import conjugate
-
     conj = conjugate(LinearGenerator(1.0))
-    assert generator_bounds(conj, 0.0) == (1.0, 1.0)
+    assert conj.zero_bound(0.0) == 1.0 and conj.finite_bound(0.0) == 1.0
 
 
 def test_modular_examples(two_atoms):
