@@ -67,9 +67,8 @@ def all_families(space: GridMeasureSpace):
 
 
 def random_instance(rng: random.Random, max_atoms: int = 6):
+    """(generator, space, function) on 2 to max_atoms atoms, drawn through
+    selfcheck's builders, the ones the acceptance criteria use."""
     space = selfcheck.random_space(rng, rng.randint(2, max_atoms))
-    gen = rng.choice(all_families(space))
-    values = [rng.uniform(-2.0, 2.0) for _ in range(len(space))]
-    if all(abs(v) < 1e-3 for v in values):
-        values[0] = 1.0
-    return gen, space, SimpleFunction.on(space, values)
+    gen = selfcheck.random_generator(rng, space)
+    return gen, space, selfcheck.random_function(rng, space)
