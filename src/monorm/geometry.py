@@ -6,8 +6,8 @@ subdifferential of the generator along k* u: densities take values in
 selection must reach 1, any shortfall being singular mass.  K(u) holds k*
 and k** as bisection brackets; each derivative is read at the end of its
 bracket that gives the wider interval, so a derivative jump at the true k*
-is seen whole.  On the
-degenerate branch the density is pinned to b* on the support.
+is seen whole.  On the degenerate branch the density is pinned to b* on the
+support.
 
 Finite grids carry no genuinely singular functionals, so constructions that
 need singular mass are flagged as non-atomic-limit constructs; their
@@ -15,10 +15,10 @@ singular clause cannot be realized atom-by-atom.
 
 The "= 1" modular clauses and the density clauses of verification use the
 equality band eps_eq = 1e-7, absorbing the 1e-10 width of the K(u)
-brackets.  The structural clauses (derivative jumps, the
-conjugate's bounds, theta) are read exactly from the closed forms, and the
-doubling condition from the family's flag, so the space-smoothness criterion
-evaluates no generator.
+brackets.  The structural clauses (derivative jumps, the conjugate's bounds,
+theta) are read exactly from the closed forms, and the doubling condition
+from the family's flag, so the space-smoothness criterion evaluates no
+generator.
 """
 
 from __future__ import annotations

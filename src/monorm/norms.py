@@ -166,7 +166,8 @@ def k_interval(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction)
     if above_one(star[1]):
         # k* <= k** <= hi1: the first bracket already pins k** = k*
         return KSetNonEmpty(star, star)
-    return KSetNonEmpty(star, monotone_boundary(above_one, start=2.0 * star[1], lo=star[1]))
+    dstar = monotone_boundary(above_one, start=2.0 * star[1], lo=star[1])
+    return KSetNonEmpty(star, dstar)
 
 
 def _amemiya_objective(

@@ -136,8 +136,9 @@ def test_orlicz_examples(two_atoms, kink_linear):
     val, _ = orlicz_amemiya_norm(PowerGenerator(2.0), two_atoms, u)
     assert val == pytest.approx(math.sqrt(2.0), abs=1e-9)
 
-    # the indicator's quotient (1 + I(ku))/k is smallest at k* = 1/max|u|,
-    # where the modular is still 0: the norm is max|u| exactly
+    # K(u) = {1/max|u|}, a power of two here, so the top of the k* bracket
+    # (bisected down from 1) lands on it; the modular is still 0 there and
+    # the quotient 1/k* is max|u| exactly
     indicator = IndicatorGenerator(1.0)
     assert orlicz_amemiya_norm(indicator, two_atoms, u)[0] == 1.0
     u1m2 = SimpleFunction.on(two_atoms, (1.0, -2.0))
@@ -148,8 +149,8 @@ def test_orlicz_examples(two_atoms, kink_linear):
     assert val == pytest.approx(math.sqrt(5.0), abs=1e-9)
 
     val, ks = orlicz_amemiya_norm(kink_linear, two_atoms, u)
-    # the quotient is probed at the ends of the k* bracket, which lie on
-    # either side of the true k* = 1, so the kink is met exactly
+    # the top of the k* bracket is the true k* = 1, where the bisection
+    # starts, and the quotient is probed there
     assert val == 1.5
     assert isinstance(ks, KSetNonEmpty)
     assert ks.k_star == pytest.approx(1.0, abs=1e-9)
