@@ -6,17 +6,21 @@ they validate; each reports a certified lower bound that converges from
 below as the resolution (>= 2) grows.
 
 - orlicz_norm_bruteforce: ||u||_0 = sup <u, v> over I*(v) <= 1, by a scan
-  of per-atom magnitude grids (best_grid_point) and a coordinate polish.
+  of per-atom magnitude grids (best_grid_point) and a coordinate polish
+  (golden_max, one magnitude cap per probe).
 - luxemburg_norm_bruteforce: ||u|| = sup <u, v> over ||v||_{*,0} <= 1, as
   a fractional program over the same grids, solved by Dinkelbach's
-  iteration; it solves no norm.
+  iteration; each step searches a grid by index (_concave_argmax).  It
+  solves no norm.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 from .conjugate import conjugate
 from .errors import OracleScaleError, PreconditionError
@@ -78,6 +82,19 @@ def _magnitude_grid(cap: float, resolution: int) -> list[float]:
     for j in range(half):
         pts.add(cap * 10.0 ** (-6.0 * (half - 1 - j) / max(1, half - 1)))
     return sorted(pts)
+
+
+def _concave_argmax(value: Callable[[int], float], n: int) -> int:
+    """First index of the largest of value(0), ..., value(n - 1), for values
+    that rise strictly up to it and never rise after it: the first k with
+    value(k) >= value(k + 1), or n - 1, found by bisection in about
+    2 log2(n) calls of value.
+
+    A concave function on increasing points has such values: two equal
+    values below the maximum would put a point between them and the
+    maximum under their chord.  A -inf tail (past the domain) keeps them so.
+    """
+    return bisect.bisect_left(range(n - 1), True, key=lambda k: value(k) >= value(k + 1))
 
 
 def magnitude_cap(conj: OrliczGenerator, t: float, budget: float, lo: float = 0.0) -> float:
@@ -154,6 +171,13 @@ def orlicz_norm_bruteforce(
     constraint boundary.  Every candidate is feasible, so the result is a
     lower bound.
 
+    The polish varies one magnitude m_j by golden_max and spends the budget
+    left, 1 - w_j phi*(t_j, m_j), by scaling the others with the largest
+    affordable factor s (a monotone_cap).  The cap's upper end is the
+    conjugate's domain edge min_r b*(t_r) / m_r, beyond which the cost is
+    infinite, so a conjugate that jumps to infinity there (linear) ends its
+    cap in a few evaluations instead of bisecting towards the jump.
+
     Signs of v are matched to u atomwise (optimal, since the pairing is
     monotone in each |v_i| under the modular constraint)."""
     _check_oracle_args(space, resolution)
@@ -179,7 +203,7 @@ def orlicz_norm_bruteforce(
     gains = [weights[i] * abs(u.values[i]) for i in supp]
     best_val, best_mags = best_grid_point(grids, gains)
 
-    # one coordinate pass of golden-section polish along the constraint
+    # one coordinate pass of polish (golden_max) along the constraint
     # manifold: vary one magnitude, rescale the rest to keep the conjugate
     # modular at 1 (the resulting map is concave in the varied coordinate)
     mags = best_mags
@@ -197,7 +221,9 @@ def orlicz_norm_bruteforce(
                 values.append(conj.phi(t, s * m))
             return weighted_sum(w_others, values)
 
-        return monotone_cap(cost, budget, 0.0, math.inf)
+        # the cost is infinite once some s * m passes its atom's b*(t)
+        edge = min(conj.finite_bound(t) / m for t, m in points)
+        return monotone_cap(cost, budget, 0.0, edge)
 
     for j, i in enumerate(supp):
         rest_gain = sum(gains[r] * mags[r] for r in range(len(supp)) if r != j)
@@ -244,9 +270,13 @@ def luxemburg_norm_bruteforce(
     and by Young's inequality every m gives a lower bound.  Each step sets
     lambda = N(m) / D(m) and maximizes the concave g_i m - lambda w_i
     phi*(t_i, m) atom by atom: the best point of a magnitude grid on
-    [0, cap_i], refined by golden section between that point's grid
-    neighbours.  The maximizer has w_i phi*(t_i, m) / m <= g_i / lambda,
-    a ratio nondecreasing in m, which gives cap_i.  The iteration stops when
+    [0, cap_i], refined by golden_max between that point's grid neighbours.
+    The maximizer has w_i phi*(t_i, m) / m <= g_i / lambda, a ratio
+    nondecreasing in m, which gives cap_i.  The objective is concave, so
+    its grid values rise to their first maximum and never rise after it;
+    _concave_argmax finds that index by bisection on the sign of the
+    forward difference, in about 2 log2(resolution) evaluations instead of
+    one per grid point, and the index is the one a full scan would take.  The iteration stops when
     lambda stops increasing.  No norm is solved on the way.
 
     When phi has a finite bound, phi* grows linearly and the sup may be
@@ -278,12 +308,12 @@ def luxemburg_norm_bruteforce(
             return w * conj.phi(t, m) / m if m > 0.0 else w * conj.right_deriv(t, 0.0)
 
         grid = _magnitude_grid(monotone_cap(slope, g / lam, 0.0, top), resolution)
-        values = [objective(m) for m in grid]
-        j = max(range(len(grid)), key=values.__getitem__)
+        value = functools.cache(lambda k: objective(grid[k]))
+        j = _concave_argmax(value, len(grid))
         m_best, f_best = golden_max(
             objective, grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
         )
-        return m_best if f_best > values[j] else grid[j]
+        return m_best if f_best > value(j) else grid[j]
 
     n = len(supp)
     best = ratio([magnitude_cap(conj, t, 1.0 / (n * w)) for t, w in zip(coords, weights)])

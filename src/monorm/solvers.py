@@ -5,7 +5,8 @@ goes through the three functions here.
   below, true above): the norms, k-interval ends and gap locations.
 - monotone_cap finds the largest point where a nondecreasing function stays
   within a target: magnitude caps, derivative thresholds, domain edges.
-- golden_max maximizes a unimodal function on an interval.
+- golden_max maximizes a unimodal function on an interval, by Brent's
+  parabolic steps with golden section as the fallback.
 
 Both bracketing solvers grow an upper end by doubling.  monotone_boundary
 then bisects its predicate; monotone_cap, which sees values and not only a
@@ -35,7 +36,8 @@ GOLDEN_REL_TOL = 1e-10
 _SPARE_STEPS = 4
 
 _TINY = sys.float_info.min
-_INV_GOLD = (math.sqrt(5.0) - 1.0) / 2.0
+#: the golden-section fraction 1 - 1/phi = (3 - sqrt 5) / 2
+_GOLD_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 
 
 def _grow(
@@ -103,34 +105,79 @@ def golden_max(
     lo: float,
     hi: float,
 ) -> tuple[float, float]:
-    """Maximize a unimodal (concave or quasiconcave) f on [lo, hi].
+    """Maximize a unimodal (concave or quasiconcave) f on [lo, hi] by Brent's
+    method (Brent, Algorithms for Minimization without Derivatives, 1973,
+    ch. 5).
 
-    f may return -inf on part of the interval.  Returns (argmax, max) over
-    all evaluated points, endpoints included.
+    Each step fits a parabola through the three best interior points and
+    takes its vertex when that lies inside the bracket and moves less than
+    half the step before the last; otherwise, or when one of the three
+    values is not finite, it takes a golden-section step into the larger
+    part of the bracket.  No step is shorter than a quarter of the final
+    width.  The search stops once the bracket is at most
+    GOLDEN_REL_TOL * max(1, |hi|) wide, the width at which golden section
+    stopped: a smooth f then needs about a third of golden section's
+    evaluations, and a kink or a maximum at an end about as many.
+
+    A finite tie moves the best point to the new one, so a flat top, where
+    rounding hides the slope, closes from both sides.  f may return -inf on
+    part of the interval; a tie at -inf keeps the older point, so two -inf
+    probes do not walk the bracket away from a finite region between them.
+    Returns (argmax, max) over all evaluated points, endpoints included.
     """
     best_x, best_f = lo, f(lo)
     fe = f(hi)
     if fe > best_f:
         best_x, best_f = hi, fe
 
+    width = GOLDEN_REL_TOL * max(1.0, abs(hi))
+    step_min = 0.25 * width
     a, b = lo, hi
-    x1 = b - _INV_GOLD * (b - a)
-    x2 = a + _INV_GOLD * (b - a)
-    f1, f2 = f(x1), f(x2)
-    span = max(1.0, abs(hi))
-    while b - a > GOLDEN_REL_TOL * span:
-        if f1 < f2:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _INV_GOLD * (b - a)
-            f2 = f(x2)
+    # x holds the best interior value so far, w the second best and v the
+    # previous w; d is the last step and e the one before it
+    x = w = v = a + _GOLD_SECTION * (b - a)
+    fx = fw = fv = f(x)
+    d = e = 0.0
+    while b - a > width:
+        mid = 0.5 * (a + b)
+        parabolic = False
+        if abs(e) > step_min and math.isfinite(fx + fw + fv):
+            # the parabola through (v, w, x) has its vertex at x + p / q
+            r = (x - w) * (fx - fv)
+            q = (x - v) * (fx - fw)
+            p = (x - v) * q - (x - w) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            parabolic = abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x)
+            e = d
+        if parabolic:
+            d = p / q
+            if x + d - a < 2.0 * step_min or b - (x + d) < 2.0 * step_min:
+                d = step_min if x < mid else -step_min
         else:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _INV_GOLD * (b - a)
-            f1 = f(x1)
-        if f1 > best_f:
-            best_x, best_f = x1, f1
-        if f2 > best_f:
-            best_x, best_f = x2, f2
+            e = (b if x < mid else a) - x
+            d = _GOLD_SECTION * e
+        u = x + d if abs(d) >= step_min else x + math.copysign(step_min, d)
+        fu = f(u)
+        if fu > fx or -math.inf < fu == fx:
+            if u < x:
+                b = x
+            else:
+                a = x
+            v, fv, w, fw, x, fx = w, fw, x, fx, u, fu
+        else:
+            if u < x:
+                a = u
+            else:
+                b = u
+            if fu >= fw or w == x:
+                v, fv, w, fw = w, fw, u, fu
+            elif fu >= fv or v == x or v == w:
+                v, fv = u, fu
+    if fx > best_f:
+        best_x, best_f = x, fx
     return best_x, best_f
 
 

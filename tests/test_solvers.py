@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 from monorm import solvers
 from monorm.errors import BracketError
-from monorm.solvers import monotone_boundary, monotone_cap
+from monorm.solvers import GOLDEN_REL_TOL, golden_max, monotone_boundary, monotone_cap
 
 
 def counted(fn):
@@ -111,6 +111,74 @@ def test_threshold_below_normal_floats_reads_zero():
     # smallest normal float (bisection took 1022 halvings of [0, 1]):
     # halving the residual kept at lo (Illinois) shrinks hi superlinearly
     assert len(calls) == 2 + 47
+
+
+# -- golden_max ----------------------------------------------------------------
+
+
+def test_golden_max_smooth_maximum_in_few_evaluations():
+    def f(x):
+        return 2.0 * x - x**3
+
+    counted_f, calls = counted(f)
+    x, fx = golden_max(counted_f, 0.0, 5.0)
+    # golden section took 52 evaluations to the same final width
+    assert len(calls) <= 25
+    assert x == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-7)
+    assert fx == pytest.approx(4.0 / 3.0 * math.sqrt(2.0 / 3.0), rel=1e-15)
+    # the best of all evaluated points
+    assert x in calls and fx == f(x) == max(map(f, calls))
+
+
+def test_golden_max_kink_within_tolerance():
+    x, fx = golden_max(lambda x: min(x, 2.0 - 2.0 * x), 0.0, 1.0)
+    assert abs(x - 2.0 / 3.0) <= GOLDEN_REL_TOL
+    assert fx >= 2.0 / 3.0 - 2.0 * GOLDEN_REL_TOL
+
+
+def test_golden_max_at_an_endpoint():
+    # the endpoints are evaluated first and returned exactly
+    assert golden_max(lambda x: x, 0.0, 3.0) == (3.0, 3.0)
+    assert golden_max(lambda x: 1.0 - x, 0.5, 3.0) == (0.5, 0.5)
+
+
+def test_golden_max_with_infinite_values():
+    # -inf past an edge on either side, and a finite window that both first
+    # probes miss
+    x, _ = golden_max(lambda x: -((x - 1.0) ** 2) if x <= 2.0 else -math.inf, 0.0, 5.0)
+    assert x == pytest.approx(1.0, abs=1e-7)
+    x, _ = golden_max(lambda x: -((x - 4.0) ** 2) if x >= 3.0 else -math.inf, 0.0, 5.0)
+    assert x == pytest.approx(4.0, abs=1e-7)
+    x, fx = golden_max(lambda x: -((x - 1.1) ** 2) if 1.0 <= x <= 1.2 else -math.inf, 0.0, 5.0)
+    assert x == pytest.approx(1.1, abs=1e-7) and fx > -1e-14
+    assert golden_max(lambda x: -math.inf, 0.0, 1.0) == (0.0, -math.inf)
+
+
+@st.composite
+def concave_on_interval(draw):
+    """(f, lo, hi, slope): a concave f on [lo, hi] whose slope there is at
+    most slope in absolute value, a kink, a parabola or an exponential."""
+    lo = draw(st.floats(min_value=-10.0, max_value=10.0))
+    hi = lo + draw(_scales)
+    c = draw(st.floats(min_value=lo - 1.0, max_value=hi + 1.0))
+    a, b = draw(_scales), draw(_scales)
+    far = max(abs(lo - c), abs(hi - c))
+    kind = draw(st.sampled_from(("kink", "parabola", "exp")))
+    if kind == "kink":
+        return (lambda x: min(a * (x - c), -b * (x - c))), lo, hi, max(a, b)
+    if kind == "parabola":
+        return (lambda x: -a * (x - c) ** 2), lo, hi, 2.0 * a * far
+    c = max(c, hi - 30.0)  # keeps exp(x - c) in range
+    return (lambda x: b * (x - c) - math.exp(x - c)), lo, hi, b + math.exp(hi - c)
+
+
+@given(concave_on_interval())
+def test_golden_max_beats_a_fine_scan(case):
+    f, lo, hi, slope = case
+    x, fx = golden_max(f, lo, hi)
+    assert lo <= x <= hi and fx == f(x)
+    scan = max(f(lo + (hi - lo) * k / 999) for k in range(1000))
+    assert fx >= scan - slope * GOLDEN_REL_TOL * max(1.0, abs(hi)) - 4.0 * math.ulp(scan)
 
 
 # -- monotone_cap on nondecreasing families ------------------------------------
