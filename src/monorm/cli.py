@@ -356,11 +356,37 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     return parser
 
 
+def _is_number(word: str) -> bool:
+    try:
+        float(word)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_negative_values(argv: list[str], flags) -> list[str]:
+    """Join a value with a leading dash to the flag before it (`--K -1e3`
+    becomes `--K=-1e3`) when the flag is one of `flags` and the value is a
+    number.  argparse reads only words like `-1` and `-.5` as negative
+    numbers and takes `-1e3` or `-inf` for an option flag, which would fail
+    as "expected one argument" without naming the value; joined, the value
+    reaches the option's type check."""
+    out: list[str] = []
+    for word in argv:
+        if out and out[-1] in flags and word.startswith("-") and _is_number(word):
+            out[-1] += "=" + word
+        else:
+            out.append(word)
+    return out
+
+
 def run(argv) -> int:
     """Dispatch a command line; returns the exit code and prints the report."""
     # the top-level parser has no option that takes a value, so its first
     # positional argument is the subcommand name
     command = next((a for a in argv if not a.startswith("-")), None)
+    if command in COMMANDS:
+        argv = _join_negative_values(argv, COMMANDS[command][3])
     try:
         args = build_parser(command).parse_args(argv)
     except SystemExit as exc:

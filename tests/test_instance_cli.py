@@ -365,14 +365,19 @@ def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
         assert len(built) <= 2, argv
 
 
-def test_negative_option_values_need_the_equals_form(instance_file, capsys):
-    # argparse takes "-1e3" for an option flag (it reads only "-1", "-.5"
-    # and the like as negative numbers), so the value goes after "="
-    assert run(["gap", "--instance", instance_file, "--delta", "-1e3"]) == 2
-    assert "argument --delta: expected one argument" in capsys.readouterr().err
-    argv = ["delta2", "--instance", instance_file, "--K", "4", "--f-const=-1e3"]
-    assert run(argv) == 2
-    assert capsys.readouterr().err == "error: threshold function must be nonnegative\n"
+def test_negative_option_values_reach_the_type_check(instance_file, capsys):
+    # argparse reads only "-1", "-.5" and the like as negative numbers; the
+    # CLI joins "-1e3" or "-inf" to its flag, so the message names the value
+    # and not a missing argument
+    assert run(["delta2", "--instance", instance_file, "--K", "-1e3"]) == 2
+    assert capsys.readouterr().err == "error: doubling constant must exceed 1\n"
+    assert run(["conjugate", "--instance", instance_file, "--v-max", "-inf"]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: argument --v-max: invalid finite value: '-inf'\n"
+    )
+    for argv in (["--f-const", "-1e3"], ["--f-const=-1e3"]):
+        assert run(["delta2", "--instance", instance_file, "--K", "4", *argv]) == 2
+        assert capsys.readouterr().err == "error: threshold function must be nonnegative\n"
 
 
 #: the start of a command line that reaches each float option
