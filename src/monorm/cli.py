@@ -364,7 +364,7 @@ def _is_number(word: str) -> bool:
     return True
 
 
-def _join_negative_values(argv: list[str], flags) -> list[str]:
+def _join_negative_values(argv: list[str], flags: dict) -> list[str]:
     """Join a value with a leading dash to the flag before it (`--K -1e3`
     becomes `--K=-1e3`) when the flag is one of `flags` and the value is a
     number.  argparse reads only words like `-1` and `-.5` as negative

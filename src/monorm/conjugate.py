@@ -4,7 +4,7 @@ Every family carries its conjugate in closed form, and so does
 truncate(phi, n) (phi* capped at n); conjugate() returns it.
 NumericConjugate is the reference that the closed forms are checked against
 (biconjugate_residual and the tests): it maximizes the concave map
-u -> u*v - phi(t,u) by bracket expansion plus golden-section search,
+u -> u*v - phi(t,u) by bracket expansion plus golden_max (Brent's method),
 evaluating the domain boundary explicitly because the supremum may be
 attained only there.
 """

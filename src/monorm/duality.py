@@ -273,11 +273,9 @@ def luxemburg_norm_bruteforce(
     [0, cap_i], refined by golden_max between that point's grid neighbours.
     The maximizer has w_i phi*(t_i, m) / m <= g_i / lambda, a ratio
     nondecreasing in m, which gives cap_i.  The objective is concave, so
-    its grid values rise to their first maximum and never rise after it;
-    _concave_argmax finds that index by bisection on the sign of the
-    forward difference, in about 2 log2(resolution) evaluations instead of
-    one per grid point, and the index is the one a full scan would take.  The iteration stops when
-    lambda stops increasing.  No norm is solved on the way.
+    _concave_argmax finds the grid point a full scan would take in about
+    2 log2(resolution) evaluations.  The iteration stops when lambda stops
+    increasing.  No norm is solved on the way.
 
     When phi has a finite bound, phi* grows linearly and the sup may be
     reached only as a magnitude goes to infinity (always so for indicator

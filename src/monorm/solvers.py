@@ -116,13 +116,17 @@ def golden_max(
     part of the bracket.  No step is shorter than a quarter of the final
     width.  The search stops once the bracket is at most
     GOLDEN_REL_TOL * max(1, |hi|) wide, the width at which golden section
-    stopped: a smooth f then needs about a third of golden section's
-    evaluations, and a kink or a maximum at an end about as many.
+    stopped.  A smooth f needs fewer evaluations, down to a third of golden
+    section's (18 against 52 for 2x - x^3 on [0, 5]): the parabolic steps
+    find the maximum within a few, but where rounding flattens the top,
+    the far end of the bracket still closes by golden-section steps.  A
+    kink or a maximum at an end takes about as many as golden section.
 
-    A finite tie moves the best point to the new one, so a flat top, where
-    rounding hides the slope, closes from both sides.  f may return -inf on
-    part of the interval; a tie at -inf keeps the older point, so two -inf
-    probes do not walk the bracket away from a finite region between them.
+    A finite tie moves the best point to the new one and drops the part of
+    the bracket beyond the old one, since the maximum lies between them.
+    f may return -inf on part of the interval; a tie at -inf keeps the
+    older point, so two -inf probes do not walk the bracket away from a
+    finite region between them.
     Returns (argmax, max) over all evaluated points, endpoints included.
     """
     best_x, best_f = lo, f(lo)
