@@ -16,7 +16,7 @@ from functools import lru_cache
 
 from .errors import BracketError, PostconditionError
 from .generators import OrliczGenerator
-from .solvers import golden_max, monotone_boundary, monotone_cap
+from .solvers import _grow, golden_max, monotone_cap
 
 __all__ = [
     "conjugate",
@@ -71,7 +71,7 @@ class NumericConjugate(OrliczGenerator):
                 return base.left_deriv(t, u) >= v or g(u) > _VALUE_CUTOFF
 
             try:
-                _, hi = monotone_boundary(stop, rel_tol=math.inf, lo=0.0)
+                _, hi = _grow(stop, 0.0, 1.0)
             except BracketError:
                 return math.inf
             if base.left_deriv(t, hi) < v:

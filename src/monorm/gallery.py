@@ -17,8 +17,10 @@ exponents of a few thousand (resolutions around 2^12).
 
 from __future__ import annotations
 
+import math
+
 from .generators import VariableExponentGenerator, modular, weighted_sum
-from .solvers import monotone_boundary
+from .solvers import monotone_cap
 from .space import GridMeasureSpace, SimpleFunction
 
 __all__ = ["gallery_report"]
@@ -59,11 +61,13 @@ def _block_level(gen, space, idx) -> float:
     coords = [space.coords[i] for i in idx]
     weights = [space.weights[i] for i in idx]
 
-    def reached(c: float) -> bool:
-        return weighted_sum(weights, [gen.phi(t, c) for t in coords]) >= 1.0
+    def block_modular(c: float) -> float:
+        return weighted_sum(weights, [gen.phi(t, c) for t in coords])
 
-    lo, hi = monotone_boundary(reached, rel_tol=0.0)
-    return 0.5 * (lo + hi)
+    # the largest float with block modular below 1; the modular is
+    # nondecreasing in floats, so the level lies before the next one
+    lo = monotone_cap(block_modular, math.nextafter(1.0, 0.0), 0.0, math.inf)
+    return 0.5 * (lo + math.nextafter(lo, math.inf))
 
 
 def _build(space: GridMeasureSpace):

@@ -61,13 +61,15 @@ EPS_EQ = 1e-7
 
 @dataclass(frozen=True)
 class SupportFunctional:
-    """A norm-one dual element attaining the Orlicz norm at its function."""
+    """A norm-one dual element attaining the Orlicz norm at its function,
+    with the clause report verify_support_functional would give for it."""
 
     density: SimpleFunction
     s_norm: float
     norm_value: float
     achieved: float
-    limit_construct: bool = False
+    limit_construct: bool
+    report: VerifyReport
 
 
 @dataclass(frozen=True)
@@ -128,6 +130,13 @@ def _gap(hi: float, lo: float) -> float:
     """The derivative gap hi - lo, and math.inf when either end is infinite
     (where IEEE arithmetic would give NaN or -inf)."""
     return hi - lo if math.isfinite(hi) and math.isfinite(lo) else math.inf
+
+
+def _conjugate_and_k(gen, space, u, zero_message: str):
+    """(phi*, K(u)) for an entry point that is undefined at u = 0."""
+    if u.is_zero():
+        raise DomainError(zero_message)
+    return conjugate(gen), k_interval(gen, space, u)
 
 
 # ---------------------------------------------------------------------------
@@ -255,10 +264,7 @@ def construct_support_functional(
     mass and flags the result as a non-atomic-limit construct.  Degenerate
     branch: the density is sgn(u) b* on the support.
     """
-    if u.is_zero():
-        raise DomainError("support functionals are defined for u != 0")
-    conj = conjugate(gen)
-    ks = k_interval(gen, space, u)
+    conj, ks = _conjugate_and_k(gen, space, u, "support functionals are defined for u != 0")
     if isinstance(ks, KSetDegenerate):
         v = SimpleFunction(space, tuple(_pinned_density(conj, space, u)))
         d = DualDensity(v, 0.0)
@@ -268,6 +274,7 @@ def construct_support_functional(
             norm_value=dual_functional_norm(gen, space, d),
             achieved=pairing(u, v),
             limit_construct=False,
+            report=_verify(gen, conj, space, u, ks, d, eps_eq),
         )
 
     segs = _with_conjugate(conj, _segments(gen, space, u, *ks.star))
@@ -284,6 +291,7 @@ def construct_support_functional(
         norm_value=dual_functional_norm(gen, space, d),
         achieved=achieved,
         limit_construct=s_norm > 0.0,
+        report=_verify(gen, conj, space, u, ks, d, eps_eq),
     )
 
 
@@ -309,66 +317,49 @@ def verify_support_functional(
     the atoms.  Degenerate branch: the modular is at most 1 and the density
     equals sgn(u) b* on the support.
     """
-    if u.is_zero():
-        raise DomainError("support functionals are defined for u != 0")
-    conj = conjugate(gen)
-    ks = k_interval(gen, space, u)
-    m = modular(conj, space, f.v)
-    clauses: list[ClauseCheck] = []
+    conj, ks = _conjugate_and_k(gen, space, u, "support functionals are defined for u != 0")
+    return _verify(gen, conj, space, u, ks, f, eps_eq)
 
+
+def _verify(gen, conj, space, u, ks, f, eps_eq) -> VerifyReport:
+    """verify_support_functional's clauses, given phi* and K(u)."""
+    total = modular(conj, space, f.v) + f.s_norm
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
-        total = m + f.s_norm
-        clauses.append(
-            ClauseCheck(
-                "modular_plus_singular",
-                total,
-                1.0,
-                abs(total - 1.0) <= eps_eq,
-            )
-        )
         if f.s_norm <= eps_eq:
-            clauses.append(
-                ClauseCheck(
-                    "singular_attainment", f.s_norm, 0.0, True, "vacuous: no singular mass"
-                )
+            singular = ClauseCheck(
+                "singular_attainment", f.s_norm, 0.0, True, "vacuous: no singular mass"
             )
         else:
-            clauses.append(
-                ClauseCheck(
-                    "singular_attainment",
-                    f.s_norm,
-                    0.0,
-                    False,
-                    "singular mass has no realization on a finite grid "
-                    "(non-atomic-limit construct)",
-                )
+            singular = ClauseCheck(
+                "singular_attainment",
+                f.s_norm,
+                0.0,
+                False,
+                "singular mass has no realization on a finite grid "
+                "(non-atomic-limit construct)",
             )
-        boxes = _boxes(gen, space, u, ks)
         worst = max(
             _excess(lo, hi, ui, vi, eps_eq)
-            for (_, _, lo, hi), ui, vi in zip(boxes, u.values, f.v.values)
+            for (_, _, lo, hi), ui, vi in zip(_boxes(gen, space, u, ks), u.values, f.v.values)
         )
-        clauses.append(ClauseCheck("sign_and_subdifferential", worst, 0.0, worst == 0.0))
+        clauses = (
+            ClauseCheck("modular_plus_singular", total, 1.0, abs(total - 1.0) <= eps_eq),
+            singular,
+            ClauseCheck("sign_and_subdifferential", worst, 0.0, worst == 0.0),
+        )
     else:
         branch = "k_empty"
-        total = m + f.s_norm
-        clauses.append(
-            ClauseCheck(
-                "modular_plus_singular_leq",
-                total,
-                1.0,
-                total <= 1.0 + eps_eq,
-            )
-        )
         worst = max(
             abs(vi - want)
             for ui, vi, want in zip(u.values, f.v.values, _pinned_density(conj, space, u))
             if ui != 0.0
         )
-        clauses.append(ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= eps_eq))
-
-    return VerifyReport(branch, tuple(clauses), all(c.passed for c in clauses))
+        clauses = (
+            ClauseCheck("modular_plus_singular_leq", total, 1.0, total <= 1.0 + eps_eq),
+            ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= eps_eq),
+        )
+    return VerifyReport(branch, clauses, all(c.passed for c in clauses))
 
 
 # ---------------------------------------------------------------------------
@@ -394,10 +385,7 @@ def classify_smooth_point(
     support.  Non-smooth verdicts come with two distinct support densities
     whenever the subdifferential slack admits them.
     """
-    if u.is_zero():
-        raise DomainError("smoothness is classified for u != 0")
-    conj = conjugate(gen)
-    ks = k_interval(gen, space, u)
+    conj, ks = _conjugate_and_k(gen, space, u, "smoothness is classified for u != 0")
     conditions: dict[str, ClauseCheck] = {}
 
     if isinstance(ks, KSetNonEmpty):
@@ -609,7 +597,6 @@ def support_density_survey(
     space: GridMeasureSpace,
     u: SimpleFunction,
     resolution: int = 400,
-    eps_eq: float = EPS_EQ,
 ) -> DensitySurvey:
     """Enumerate candidate densities satisfying the sign/subdifferential
     clause (inside the _boxes bounds over K(u)) with the conjugate modular
@@ -618,10 +605,7 @@ def support_density_survey(
 
     Independent of the classifier: a point is smooth exactly when the
     enumeration finds a single density class (diameter ~ grid step)."""
-    if u.is_zero():
-        raise DomainError("survey is defined for u != 0")
-    conj = conjugate(gen)
-    ks = k_interval(gen, space, u)
+    conj, ks = _conjugate_and_k(gen, space, u, "survey is defined for u != 0")
     n = max(2, resolution)
     axes: list[list[float]] = []
     costs: list[list[float]] = []
@@ -637,7 +621,7 @@ def support_density_survey(
             if math.isfinite(hi) and hi - lo <= 1e-8 * max(1.0, hi):
                 pts = [lo]
             else:
-                top = min(hi, magnitude_cap(conj, t, (1.0 + eps_eq) / w, lo))
+                top = min(hi, magnitude_cap(conj, t, (1.0 + EPS_EQ) / w, lo))
                 pts = [lo + (top - lo) * j / (n - 1) for j in range(n)]
             cvals = [w * conj.phi(t, m) for m in pts]
             finite_steps = [
@@ -647,7 +631,7 @@ def support_density_survey(
                 step_cost = max(step_cost, max(finite_steps))
             axes.append(pts)
             costs.append(cvals)
-        band = 0.75 * step_cost + eps_eq
+        band = 0.75 * step_cost + EPS_EQ
         passing = _enumerate_level(axes, costs, 1.0, band)
     else:
         # degenerate: support pinned to b*, off-support free below the budget
@@ -656,11 +640,11 @@ def support_density_survey(
         base_cost = _degenerate_mass(conj, space, u)
         for i in free:
             t, w = space.coords[i], space.weights[i]
-            top = magnitude_cap(conj, t, max(0.0, 1.0 + eps_eq - base_cost) / w)
+            top = magnitude_cap(conj, t, max(0.0, 1.0 + EPS_EQ - base_cost) / w)
             pts = [top * j / (n - 1) for j in range(n)]
             axes.append(pts)
             costs.append([w * conj.phi(t, m) for m in pts])
-        half = 0.5 * (1.0 + eps_eq - base_cost)
+        half = 0.5 * (1.0 + EPS_EQ - base_cost)
         passing = _enumerate_level(axes, costs, half, half)
 
     if not passing:

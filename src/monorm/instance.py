@@ -156,11 +156,8 @@ def parse_instance(path: str | Path) -> Instance:
             t, w = atom["t"], atom["w"]
         except (KeyError, TypeError) as exc:
             raise InstanceError(f"atom {i}: needs numeric 't' and 'w'") from exc
-        t, w = _finite(t, f"atom {i}: t"), _finite(w, f"atom {i}: w")
-        if not w > 0:
-            raise InstanceError(f"atom {i}: weight must be > 0, got {w}")
-        coords.append(t)
-        weights.append(w)
+        coords.append(_finite(t, f"atom {i}: t"))
+        weights.append(_finite(w, f"atom {i}: w"))
     try:
         space = GridMeasureSpace(tuple(coords), tuple(weights))
     except ValueError as exc:

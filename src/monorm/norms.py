@@ -166,7 +166,7 @@ def k_interval(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction)
     if above_one(star[1]):
         # k* <= k** <= hi1: the first bracket already pins k** = k*
         return KSetNonEmpty(star, star)
-    dstar = monotone_boundary(above_one, start=2.0 * star[1], lo=star[1])
+    dstar = monotone_boundary(above_one, lo=star[1])
     return KSetNonEmpty(star, dstar)
 
 
@@ -215,6 +215,10 @@ def theta(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> f
     return worst
 
 
+#: log-spaced steps per atom in delta2_check's scan
+DELTA2_SAMPLES = 48
+
+
 @dataclass(frozen=True)
 class Delta2Witness:
     t: float
@@ -237,13 +241,13 @@ def delta2_check(
     K: float,
     f: SimpleFunction | float | None = None,
     u_max: float = 16.0,
-    samples: int = 48,
 ) -> Delta2Verdict:
     """Sampled falsifier for phi(t, 2u) <= K phi(t, u) for all u >= f(t).
 
-    Scans log-spaced u per atom up to a horizon plus probes at b(t); a
-    "holds" verdict is over the sample only.  Requires K > 1 and a
-    threshold f with finite modular.
+    Scans DELTA2_SAMPLES log-spaced steps per atom up to a horizon plus
+    probes at b(t); a "holds" verdict is over the sample only.  Requires
+    K > 1 and a threshold f with finite modular, that is f <= b at every
+    atom (phi is finite at a finite b).
     """
     if not K > 1:
         raise PreconditionError("doubling constant must exceed 1")
@@ -253,7 +257,7 @@ def delta2_check(
         f = SimpleFunction.constant(space, float(f))
     if any(v < 0 for v in f.values):
         raise PreconditionError("threshold function must be nonnegative")
-    if math.isinf(modular(gen, space, f)):
+    if any(fi > gen.finite_bound(t) for t, fi in zip(space.coords, f.values)):
         raise PreconditionError("threshold function must have finite modular")
 
     checked = 0
@@ -261,9 +265,9 @@ def delta2_check(
         probes = {fi}
         lo = max(fi, 1e-3)
         hi = max(u_max, 2.0 * fi + 1.0)
-        step = (hi / lo) ** (1.0 / samples)
+        step = (hi / lo) ** (1.0 / DELTA2_SAMPLES)
         x = lo
-        for _ in range(samples + 1):
+        for _ in range(DELTA2_SAMPLES + 1):
             if x >= fi:
                 probes.add(x)
             x *= step

@@ -9,14 +9,13 @@ goes through the three functions here.
   parabolic steps with golden section as the fallback.
 
 Both bracketing solvers grow an upper end by doubling.  monotone_boundary
-then bisects its predicate; monotone_cap, which sees values and not only a
-verdict, narrows by false position on g - target with bisection as the
-fallback.  Run to the end (rel_tol = 0 for monotone_boundary, always for
-monotone_cap) either stops at the pair of adjacent floats around the
-threshold, whichever bracket it started from.  The search range is the
-normal floats: a threshold below the smallest one reads as 0, and a
-predicate that does not change within the range raises BracketError naming
-the last bracket.
+then bisects its predicate to a relative width of BISECT_REL_TOL.
+monotone_cap, which sees values and not only a verdict, narrows by false
+position on g - target with bisection as the fallback, and stops at the
+pair of adjacent floats around the threshold, whichever bracket it started
+from.  The search range is the normal floats: a threshold below the
+smallest one reads as 0, and a predicate that does not change within the
+range raises BracketError naming the last bracket.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from .errors import BracketError
 
 __all__ = ["monotone_boundary", "golden_max", "monotone_cap"]
 
+#: monotone_boundary stops once its bracket is this fraction of hi
 BISECT_REL_TOL = 1e-10
 #: golden_max stops once its bracket is this fraction of max(1, |hi|)
 GOLDEN_REL_TOL = 1e-10
@@ -40,25 +40,20 @@ _TINY = sys.float_info.min
 _GOLD_SECTION = (3.0 - math.sqrt(5.0)) / 2.0
 
 
-def _grow(
-    pred: Callable[[float], bool], lo: float, hi: float, top: float = math.inf
-) -> tuple[float, float]:
-    """Double hi, clipped at top, with lo trailing it, until pred(hi) holds;
-    pred(lo) is false."""
-    hi = min(hi, top)
+def _grow(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    """Double hi, with lo trailing it, until pred(hi) holds; pred(lo) is
+    false."""
     while not pred(hi):
-        if hi == top or 2.0 * hi == math.inf:
+        if 2.0 * hi == math.inf:
             raise BracketError(
                 f"predicate stayed false up to {hi!r} (last bracket [{lo!r}, {hi!r}])"
             )
-        lo, hi = hi, min(2.0 * hi, top)
+        lo, hi = hi, 2.0 * hi
     return lo, hi
 
 
-def _bisect(
-    pred: Callable[[float], bool], lo: float, hi: float, rel_tol: float
-) -> tuple[float, float]:
-    while hi - lo > rel_tol * hi and hi > _TINY:
+def _bisect(pred: Callable[[float], bool], lo: float, hi: float) -> tuple[float, float]:
+    while hi - lo > BISECT_REL_TOL * hi and hi > _TINY:
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -70,34 +65,29 @@ def _bisect(
 
 
 def monotone_boundary(
-    pred: Callable[[float], bool],
-    start: float = 1.0,
-    rel_tol: float = BISECT_REL_TOL,
-    lo: float | None = None,
+    pred: Callable[[float], bool], lo: float | None = None
 ) -> tuple[float, float]:
     """Bracket the boundary of the up-set {x > 0 : pred(x)}.
 
     pred must be monotone (false below some threshold, true above).  Returns
-    (lo, hi) with pred(lo) false, pred(hi) true and hi - lo <= rel_tol * hi;
-    rel_tol = 0 bisects to adjacent floats, rel_tol = inf skips bisection.
+    (lo, hi) with pred(lo) false, pred(hi) true and
+    hi - lo <= BISECT_REL_TOL * hi.
 
-    Without lo, pred(start) picks the direction: halving down from start
-    while pred holds, doubling up while it does not.  A given lo is a point
-    known to fail pred (never evaluated, 0 allowed); the upper end then runs
-    start, 2 start, ... from start > lo.
+    Without lo, pred(1) picks the direction: bisection of [0, 1] when it
+    holds (its probes halve until pred fails), doubling up from 2 when it
+    does not.  A given lo > 0 is a point known to fail pred, never
+    evaluated; the upper end then runs 2 lo, 4 lo, ...
     """
     if lo is None:
-        if pred(start):
-            lo, hi = 0.5 * start, start
-            while pred(lo):
-                if lo < 2.0 * _TINY:
-                    raise BracketError(
-                        f"predicate stayed true down to {lo!r} (last bracket [0.0, {lo!r}])"
-                    )
-                lo, hi = 0.5 * lo, lo
-            return _bisect(pred, lo, hi, rel_tol)
-        lo, start = start, 2.0 * start
-    return _bisect(pred, *_grow(pred, lo, start), rel_tol)
+        if pred(1.0):
+            lo, hi = _bisect(pred, 0.0, 1.0)
+            if lo == 0.0:
+                raise BracketError(
+                    f"predicate stayed true down to {hi!r} (last bracket [0.0, {hi!r}])"
+                )
+            return lo, hi
+        lo = 1.0
+    return _bisect(pred, *_grow(pred, lo, 2.0 * lo))
 
 
 def golden_max(

@@ -46,12 +46,12 @@ class GridMeasureSpace:
                 )
 
     @classmethod
-    def uniform(cls, n: int, a: float = 0.0, b: float = 1.0) -> "GridMeasureSpace":
-        """Midpoints of a uniform partition of [a, b] into n cells."""
+    def uniform(cls, n: int) -> "GridMeasureSpace":
+        """Midpoints of a uniform partition of [0, 1] into n cells."""
         if n < 1:
             raise ValueError("need at least one cell")
-        h = (b - a) / n
-        coords = tuple(a + (j + 0.5) * h for j in range(n))
+        h = 1.0 / n
+        coords = tuple((j + 0.5) * h for j in range(n))
         return cls(coords, (h,) * n)
 
     @property

@@ -1,7 +1,12 @@
 import json
 
+import pytest
+
+from monorm import gallery
 from monorm.cli import run
 from monorm.gallery import gallery_report
+from monorm.generators import VariableExponentGenerator, weighted_sum
+from monorm.space import GridMeasureSpace
 
 
 def test_gallery_trend():
@@ -40,3 +45,49 @@ def test_gallery_command(capsys):
     report = json.loads(out)
     assert len(report["ladder"]) == 2
     assert report["ladder"][0]["resolution"] == 64
+
+
+def _bisected_level(gen, space, idx):
+    """The block level by bisection of "block modular >= 1" to adjacent
+    floats, and the number of block modulars it evaluated."""
+    coords = [space.coords[i] for i in idx]
+    weights = [space.weights[i] for i in idx]
+    evals = 0
+
+    def reached(c):
+        nonlocal evals
+        evals += 1
+        return weighted_sum(weights, [gen.phi(t, c) for t in coords]) >= 1.0
+
+    lo, hi = 0.0, 1.0
+    while not reached(hi):
+        lo, hi = hi, 2.0 * hi
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        if reached(mid):
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi), evals
+
+
+@pytest.mark.parametrize("resolution", [16, 32, 256, 1024, 4096])
+def test_block_level_matches_adjacent_float_bisection(resolution, monkeypatch):
+    evals = 0
+
+    def counted(*args):
+        nonlocal evals
+        evals += 1
+        return weighted_sum(*args)
+
+    monkeypatch.setattr(gallery, "weighted_sum", counted)
+    space = GridMeasureSpace.uniform(resolution)
+    gen = VariableExponentGenerator.from_values(
+        space, [gallery._exponent(t) for t in space.coords]
+    )
+    reference_evals = 0
+    for idx in gallery._blocks(space):
+        want, n = _bisected_level(gen, space, idx)
+        reference_evals += n
+        assert gallery._block_level(gen, space, idx) == want
+    assert 0 < evals < reference_evals

@@ -118,9 +118,11 @@ def test_constructed_functionals_verify():
     for _ in range(25):
         gen, space, u = random_instance(rng, max_atoms=5)
         sf = construct_support_functional(gen, space, u)
+        rep = verify_support_functional(gen, space, u, DualDensity(sf.density, sf.s_norm))
+        # the constructor reports the verifier's clauses for its own output
+        assert sf.report == rep
         if sf.s_norm > 0:
             continue
-        rep = verify_support_functional(gen, space, u, DualDensity(sf.density, 0.0))
         assert rep.passed, (gen, u.values, [c for c in rep.clauses if not c.passed])
         value, _ = orlicz_amemiya_norm(gen, space, u)
         assert sf.achieved == pytest.approx(value, abs=1e-7 * max(1.0, value))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from monorm import PowerGenerator, selfcheck, truncate
+from monorm import PowerGenerator, geometry, selfcheck, truncate
 from monorm.cli import run
 from monorm.errors import InstanceError
 from monorm.instance import parse_instance
@@ -47,7 +47,7 @@ def test_parse_zero_weight(tmp_path):
         "phi": {"family": "power", "p": 2.0},
         "functions": {},
     }
-    with pytest.raises(InstanceError, match="atom 0"):
+    with pytest.raises(InstanceError, match=r"^atom 0: weight must be > 0, got 0\.0$"):
         parse_instance(_write(tmp_path, payload))
 
 
@@ -189,6 +189,20 @@ def test_support_command(instance_file, capsys):
     assert report["s_norm"] == 0
 
 
+def test_support_command_brackets_k_once(instance_file, capsys, monkeypatch):
+    calls = []
+    orig = geometry.k_interval
+
+    def counted(*args):
+        calls.append(args)
+        return orig(*args)
+
+    monkeypatch.setattr(geometry, "k_interval", counted)
+    assert run(["support", "--instance", instance_file, "--function", "u2", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verified"] is True
+    assert len(calls) == 1
+
+
 def test_smooth_point_command(instance_file, capsys):
     code = run(["smooth-point", "--instance", instance_file, "--function", "u2", "--json"])
     report = json.loads(capsys.readouterr().out)
@@ -232,6 +246,18 @@ def test_delta2_command(instance_file, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["holds_on_sample"] is True
+
+
+def test_delta2_threshold_with_overflowing_modular(tmp_path, capsys):
+    # f = 1.25e300 lies inside the domain (b = inf), though phi(f) overflows
+    payload = {
+        "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
+        "phi": {"family": "indicator", "c": 1e300, "truncate": 1e300},
+        "functions": {},
+    }
+    argv = ["delta2", "--instance", _write(tmp_path, payload), "--K", "4", "--json"]
+    assert run(argv + ["--f-const", "1.25e300"]) == 0
+    assert json.loads(capsys.readouterr().out)["holds_on_sample"] is True
 
 
 def test_gap_command(tmp_path, capsys):

@@ -119,9 +119,11 @@ def test_k_interval_flat_branch_reuses_known_point(monkeypatch, plateau):
 
     first, second = [], []
     lo1, hi1 = monotone_boundary(probe(first, lambda d: d >= 1.0))
-    # the second bracket as it was run before: probing hi1 first
-    lo2, hi2 = monotone_boundary(probe(second, lambda d: d > 1.0), start=hi1)
-    assert second[0] == hi1
+    # the second bracket as it was run before: probing hi1 first, then
+    # growing from it as the known lower point
+    above = probe(second, lambda d: d > 1.0)
+    assert not above(hi1)
+    lo2, hi2 = monotone_boundary(above, lo=hi1)
     assert ks.k_star == 0.5 * (lo1 + hi1) < ks.k_double_star == 0.5 * (lo2 + hi2)
     assert len(calls) == len(first) + 1 + len(second) - 1
 

@@ -26,19 +26,11 @@ def test_exports_three_solvers():
 
 @pytest.mark.parametrize("threshold", [math.sqrt(2.0), 3e-7, 12345.678, 1e200])
 def test_adjacent_pair_independent_of_start(threshold):
-    def pred(x):
-        return x >= threshold
-
-    pairs = {monotone_boundary(pred, start=s, rel_tol=0.0) for s in (1e-3, 0.7, 1.0, 9.0, 1e6)}
-    pairs.add(monotone_boundary(pred, start=1.0, rel_tol=0.0, lo=0.0))
-    pairs.add(monotone_boundary(pred, start=threshold * 0.75, rel_tol=0.0, lo=threshold / 3.0))
-    assert len(pairs) == 1
-    lo, hi = pairs.pop()
-    assert not pred(lo) and pred(hi)
-    assert hi == math.nextafter(lo, math.inf)
-    # the cap solver lands on the same float from any upper end
+    # the cap solver lands on the float just below the threshold from any
+    # upper end
+    lo = math.nextafter(threshold, 0.0)
     for top in (math.inf, 2.0 * threshold, 1e300):
-        assert monotone_cap(lambda x: x, math.nextafter(threshold, 0.0), 0.0, top) == lo
+        assert monotone_cap(lambda x: x, lo, 0.0, top) == lo
 
 
 def test_bracket_error_names_last_bracket_when_never_true():
@@ -58,7 +50,7 @@ def test_bracket_error_names_last_bracket_when_never_false():
 
 def test_bracket_error_from_known_lower_point():
     with pytest.raises(BracketError, match="stayed false"):
-        monotone_boundary(lambda x: False, start=1.0, lo=0.0)
+        monotone_boundary(lambda x: False, lo=1.0)
 
 
 def test_monotone_cap_with_infinite_values():
@@ -84,14 +76,24 @@ def test_evaluation_counts_for_fixed_predicate():
     assert len(calls) == 3 + 33
     assert hi - lo <= 1e-10 * hi and lo < 3.0 <= hi
 
-    pred, calls = counted(lambda x: x >= 3.0)
-    monotone_boundary(pred, rel_tol=0.0)
-    # floats in [2, 4) are 2**-51 apart: 52 halvings from width 2
-    assert len(calls) == 3 + 52
-
-    pred, calls = counted(lambda x: x >= 3.0)
-    monotone_boundary(pred, start=4.0, rel_tol=math.inf, lo=2.0)
-    assert calls == [4.0]
+    # a threshold below 1: 1, then halvings to 2**-22, the first point
+    # that fails, then bisection of [2**-22, 2**-21]
+    pred, calls = counted(lambda x: x >= 3e-7)
+    assert monotone_boundary(pred) == (2.999999999808711e-07, 3.000000000086267e-07)
+    assert calls[:23] == [2.0**-i for i in range(23)]
+    assert calls[23:] == [
+        3.5762786865234375e-07, 2.980232238769531e-07, 3.2782554626464844e-07,
+        3.129243850708008e-07, 3.0547380447387695e-07, 3.0174851417541504e-07,
+        2.998858690261841e-07, 3.0081719160079956e-07, 3.003515303134918e-07,
+        3.0011869966983795e-07, 3.00002284348011e-07, 2.9994407668709755e-07,
+        2.999731805175543e-07, 2.9998773243278265e-07, 2.9999500839039683e-07,
+        2.999986463692039e-07, 3.0000046535860747e-07, 2.999995558639057e-07,
+        3.000000106112566e-07, 2.9999978323758114e-07, 2.9999989692441886e-07,
+        2.999999537678377e-07, 2.9999998218954715e-07, 2.9999999640040187e-07,
+        3.0000000350582923e-07, 2.9999999995311555e-07, 3.000000017294724e-07,
+        3.0000000084129397e-07, 3.0000000039720476e-07, 3.0000000017516015e-07,
+        3.0000000006413785e-07, 3.000000000086267e-07, 2.999999999808711e-07,
+    ]
 
     g, calls = counted(lambda x: x)
     monotone_cap(g, 3.0, 0.0, math.inf)
