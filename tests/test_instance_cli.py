@@ -249,7 +249,8 @@ def test_delta2_command(instance_file, capsys):
 
 
 def test_delta2_threshold_with_overflowing_modular(tmp_path, capsys):
-    # f = 1.25e300 lies inside the domain (b = inf), though phi(f) overflows
+    # f = 1.25e300 lies inside the domain (b = inf), so its modular is
+    # finite, though phi(f) = 1e300 * 2.5e299 overflows the floats
     payload = {
         "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
         "phi": {"family": "indicator", "c": 1e300, "truncate": 1e300},
@@ -257,7 +258,9 @@ def test_delta2_threshold_with_overflowing_modular(tmp_path, capsys):
     }
     argv = ["delta2", "--instance", _write(tmp_path, payload), "--K", "4", "--json"]
     assert run(argv + ["--f-const", "1.25e300"]) == 0
-    assert json.loads(capsys.readouterr().out)["holds_on_sample"] is True
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert json.loads(captured.out)["K"] == 4.0
 
 
 def test_gap_command(tmp_path, capsys):
