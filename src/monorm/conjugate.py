@@ -14,9 +14,9 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import BracketError, PostconditionError
+from .errors import PostconditionError
 from .generators import OrliczGenerator
-from .solvers import _grow, golden_max, monotone_cap
+from .solvers import golden_max, monotone_cap
 
 __all__ = [
     "conjugate",
@@ -70,10 +70,11 @@ class NumericConjugate(OrliczGenerator):
             def stop(u: float) -> bool:
                 return base.left_deriv(t, u) >= v or g(u) > _VALUE_CUTOFF
 
-            try:
-                _, hi = _grow(stop, 0.0, 1.0)
-            except BracketError:
-                return math.inf
+            hi = 1.0
+            while not stop(hi):
+                if 2.0 * hi == math.inf:
+                    return math.inf
+                hi *= 2.0
             if base.left_deriv(t, hi) < v:
                 return math.inf
         _, best = golden_max(g, 0.0, hi)

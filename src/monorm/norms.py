@@ -247,7 +247,11 @@ def delta2_check(
     Scans DELTA2_SAMPLES log-spaced steps per atom up to a horizon plus
     probes at b(t); a "holds" verdict is over the sample only.  Requires
     K > 1 and a threshold f with finite modular, that is f <= b at every
-    atom (phi is finite at a finite b).
+    atom (phi is finite at a finite b).  A probe u with 2u <= b(t) at which
+    both sides overflow the floats cannot be ordered; unless a witness turns
+    up elsewhere, such a probe raises PreconditionError rather than pass.
+    Past b(t), phi(t, 2u) = inf is exact and a witness even when K phi(t, u)
+    overflows.
     """
     if not K > 1:
         raise PreconditionError("doubling constant must exceed 1")
@@ -261,17 +265,19 @@ def delta2_check(
         raise PreconditionError("threshold function must have finite modular")
 
     checked = 0
+    undecided = None
     for (t, _), fi in zip(space.items(), f.values):
+        b = gen.finite_bound(t)
         probes = {fi}
         lo = max(fi, 1e-3)
         hi = max(u_max, 2.0 * fi + 1.0)
         step = (hi / lo) ** (1.0 / DELTA2_SAMPLES)
         x = lo
         for _ in range(DELTA2_SAMPLES + 1):
-            if x >= fi:
+            # past b both sides are inf, and inf <= K inf says nothing
+            if fi <= x <= b:
                 probes.add(x)
             x *= step
-        b = gen.finite_bound(t)
         if math.isfinite(b):
             for cand in (b, b * 0.999, b * 0.5):
                 if cand >= fi:
@@ -282,7 +288,13 @@ def delta2_check(
             checked += 1
             # relative slack absorbs float rounding in exactly-homogeneous cases
             bound = rhs + 1e-12 * rhs
-            if lhs > bound:
+            if lhs >= bound:
+                if lhs == bound < math.inf:
+                    continue
+                if lhs == bound and 2.0 * uu <= b:
+                    # both sides are finite reals past the float range
+                    undecided = undecided or (t, uu)
+                    continue
                 base = gen.phi(t, uu)
                 ratio = (
                     lhs / base
@@ -290,6 +302,12 @@ def delta2_check(
                     else None
                 )
                 return Delta2Verdict(False, Delta2Witness(t, uu, lhs, rhs, ratio), checked)
+    if undecided is not None:
+        t, uu = undecided
+        raise PreconditionError(
+            f"phi(t, 2u) and K phi(t, u) both overflow the floats at t = {t!r}, "
+            f"u = {uu!r}, so the sample cannot decide the doubling inequality there"
+        )
     return Delta2Verdict(True, None, checked)
 
 

@@ -24,7 +24,7 @@ import math
 import sys
 from typing import Callable
 
-from .errors import BracketError
+from .errors import BracketError, PreconditionError
 
 __all__ = ["monotone_boundary", "golden_max", "monotone_cap"]
 
@@ -76,8 +76,11 @@ def monotone_boundary(
     Without lo, pred(1) picks the direction: bisection of [0, 1] when it
     holds (its probes halve until pred fails), doubling up from 2 when it
     does not.  A given lo > 0 is a point known to fail pred, never
-    evaluated; the upper end then runs 2 lo, 4 lo, ...
+    evaluated; the upper end then runs 2 lo, 4 lo, ...  Any other lo raises
+    PreconditionError, since doubling 0 or a negative lo never brackets.
     """
+    if lo is not None and not lo > 0.0:
+        raise PreconditionError(f"known lower point must be > 0, got {lo!r}")
     if lo is None:
         if pred(1.0):
             lo, hi = _bisect(pred, 0.0, 1.0)

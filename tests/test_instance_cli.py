@@ -249,18 +249,35 @@ def test_delta2_command(instance_file, capsys):
 
 
 def test_delta2_threshold_with_overflowing_modular(tmp_path, capsys):
-    # f = 1.25e300 lies inside the domain (b = inf), so its modular is
-    # finite, though phi(f) = 1e300 * 2.5e299 overflows the floats
+    # f lies inside the domain (b = inf), so its modular is finite, though
+    # the float sum 2 * 1e10 * phi(f) ~ 2e310 overflows; every probe stays
+    # in float range, so the sample decides
+    payload = {
+        "space": {"atoms": [{"t": 0.25, "w": 1e10}, {"t": 0.75, "w": 1e10}]},
+        "phi": {"family": "power", "p": 2.0},
+        "functions": {},
+    }
+    argv = ["delta2", "--instance", _write(tmp_path, payload), "--K", "4", "--json"]
+    assert run(argv + ["--f-const", "1.4e150"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["holds_on_sample"] is True
+    assert report["checked"] == 98
+
+
+def test_delta2_refuses_probes_past_the_float_range(tmp_path, capsys):
+    # phi(f) = 1e300 (f - c) = 2.5e599 and phi(2f) = 1.5e600: the true ratio
+    # is 6 > 4, but both sides overflow at every probe, and inf <= 4 inf
+    # must not read as a pass
     payload = {
         "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
         "phi": {"family": "indicator", "c": 1e300, "truncate": 1e300},
         "functions": {},
     }
     argv = ["delta2", "--instance", _write(tmp_path, payload), "--K", "4", "--json"]
-    assert run(argv + ["--f-const", "1.25e300"]) == 0
+    assert run(argv + ["--f-const", "1.25e300"]) == 2
     captured = capsys.readouterr()
-    assert captured.err == ""
-    assert json.loads(captured.out)["K"] == 4.0
+    assert captured.out == ""
+    assert "both overflow the floats at t = 0.25, u = 1.25e+300" in captured.err
 
 
 def test_gap_command(tmp_path, capsys):

@@ -11,6 +11,8 @@ from monorm import (
     KSetDegenerate,
     KSetNonEmpty,
     LinearGenerator,
+    Piece,
+    PiecewiseGenerator,
     PowerGenerator,
     SimpleFunction,
     delta2_check,
@@ -263,6 +265,37 @@ def test_delta2_examples(two_atoms):
     assert ratio6 == pytest.approx(410.52, abs=0.01)
     v = delta2_check(IndicatorGenerator(1.0), two_atoms, 1000.0, 1.0)
     assert not v.holds and v.witness.u == 1.0
+
+
+@pytest.mark.parametrize(
+    "gen, K, f", [(ExpMinusOneGenerator(), 100.0, 708.0), (PowerGenerator(2.0), 4.0, 1e200)]
+)
+def test_delta2_overflowing_probe_is_not_a_verdict(two_atoms, gen, K, f):
+    # phi(1e200) = 5e399 and e^708 * 100 ~ 3e309 overflow, and so does
+    # phi(2u): u^2 / 2 is doubling and e^u - 1 - u is not, so inf <= K inf
+    # can decide neither way
+    with pytest.raises(PreconditionError, match="both overflow"):
+        delta2_check(gen, two_atoms, K, f)
+
+
+def test_delta2_witness_past_an_undecided_probe(two_atoms):
+    # atom 0 overflows at u = 708; atom 1 still fails at u = 700, where
+    # phi(1400) = inf exceeds 100 phi(700) ~ 1e306
+    _, t1 = two_atoms.coords
+    f = SimpleFunction(two_atoms, (708.0, 700.0))
+    v = delta2_check(ExpMinusOneGenerator(), two_atoms, 100.0, f)
+    assert not v.holds
+    assert (v.witness.t, v.witness.u, v.witness.ratio) == (t1, 700.0, None)
+
+
+def test_delta2_witness_past_the_domain_edge(two_atoms):
+    # phi = 1e154 u on [0, b = 1e154]: 4 phi(u) overflows from u ~ 4.5e153,
+    # but past b phi(2u) = inf is exact, so inf against inf is a witness
+    gen = PiecewiseGenerator((Piece(1e154, 1e154, 0.0),), bounded=True)
+    v = delta2_check(gen, two_atoms, 4.0)
+    assert not v.holds
+    assert v.witness.u == 0.999e154 and v.witness.ratio is None
+    assert math.isinf(v.witness.lhs) and math.isinf(v.witness.rhs)
 
 
 def test_delta2_preconditions(two_atoms):

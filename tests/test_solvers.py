@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from monorm import solvers
-from monorm.errors import BracketError
+from monorm.errors import BracketError, PreconditionError
 from monorm.solvers import GOLDEN_REL_TOL, golden_max, monotone_boundary, monotone_cap
 
 
@@ -51,6 +51,16 @@ def test_bracket_error_names_last_bracket_when_never_false():
 def test_bracket_error_from_known_lower_point():
     with pytest.raises(BracketError, match="stayed false"):
         monotone_boundary(lambda x: False, lo=1.0)
+
+
+@pytest.mark.parametrize("lo", [0.0, -1.0, math.nan])
+def test_known_lower_point_must_be_positive(lo):
+    # doubling 0 stays at 0 and doubling a negative lo ends at -inf: either
+    # would loop forever, so the value is refused before any probe
+    probes = []
+    with pytest.raises(PreconditionError, match="must be > 0"):
+        monotone_boundary(lambda x: probes.append(x) or False, lo=lo)
+    assert probes == []
 
 
 def test_monotone_cap_with_infinite_values():
