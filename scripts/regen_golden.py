@@ -8,7 +8,8 @@ relative to tests/golden/); its report is the exact stdout of
     python scripts/regen_golden.py            # rewrite every report
     python scripts/regen_golden.py --check    # compare, print per-field diffs
 
-`--check` exits 1 when any report differs and prints, per numeric field, the
+`--check` exits 1 when any fresh report is not valid JSON or differs from
+the stored one.  It names each such case and prints, per numeric field, the
 largest absolute and the largest relative difference between the stored and
 the fresh report (list indices folded into `[]`), and, under each other field
 that changed, every differing old -> new value (booleans and strings), so a
@@ -137,10 +138,15 @@ def format_diffs(expected: str, actual: str) -> str:
 
 
 def check_case(case: dict) -> str | None:
-    """None when the fresh report matches the stored bytes, else a summary."""
+    """None when the fresh report is JSON and matches the stored bytes,
+    else a summary."""
     code, text = render(case)
     if code != 0:
         return f"exit code {code}"
+    try:
+        json.loads(text)
+    except json.JSONDecodeError as exc:
+        return f"  not valid JSON: {exc}"
     expected = report_path(case).read_text()
     if text == expected:
         return None

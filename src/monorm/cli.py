@@ -318,17 +318,30 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser of subcommand `name`, built from its COMMANDS row."""
+    _, _, takes_instance, arguments = COMMANDS[name]
+    parser = argparse.ArgumentParser(prog=f"monorm {name}")
+    parser.add_argument("--json", action="store_true", help="emit a JSON report")
+    if takes_instance:
+        parser.add_argument("--instance", required=True)
+    for flag, kwargs in arguments.items():
+        parser.add_argument(flag, **kwargs)
+    return parser
+
+
 def build_parser(command: str | None) -> argparse.ArgumentParser:
-    """Two parsers: the top-level one and `command`'s, if COMMANDS names it.
+    """The top-level parser, with `command`'s parser if COMMANDS names it.
 
     Every name in COMMANDS is registered with its help line, so the
     top-level help and the invalid-choice error list them all, but argparse
     builds each subparser through `parser_class`, and only `command`'s is an
-    ArgumentParser; the others are None.  argparse parses with the parser its
-    first positional word names.  That word is `command` (the first word
-    without a leading dash, as `run` picks it) or one with a leading dash,
-    which no name has, so argparse rejects it as an invalid choice before it
-    looks up a parser."""
+    ArgumentParser (from `command_parser`); the others are None.  argparse
+    parses with the parser its first positional word names.  That word is
+    `command` (the first word without a leading dash, as `run` picks it) or
+    one with a leading dash, which no name has, so argparse rejects it as an
+    invalid choice before it looks up a parser.  `run` needs this parser
+    only for a command line that `command_parser` cannot settle alone."""
     parser = argparse.ArgumentParser(
         prog="monorm",
         description="Musielak-Orlicz norm computations on grid instances",
@@ -337,18 +350,11 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
         dest="command",
         required=True,
         parser_class=lambda **kw: (
-            argparse.ArgumentParser(**kw) if kw["prog"] == f"monorm {command}" else None
+            command_parser(command) if kw["prog"] == f"monorm {command}" else None
         ),
     )
-    for name, (_, help_text, takes_instance, arguments) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if p is None:
-            continue
-        p.add_argument("--json", action="store_true", help="emit a JSON report")
-        if takes_instance:
-            p.add_argument("--instance", required=True)
-        for flag, kwargs in arguments.items():
-            p.add_argument(flag, **kwargs)
+    for name, (_, help_text, _, _) in COMMANDS.items():
+        sub.add_parser(name, help=help_text)
     return parser
 
 
@@ -376,6 +382,21 @@ def _join_negative_values(argv: list[str], flags: dict) -> list[str]:
     return out
 
 
+def _parse(argv: list[str], command: str | None) -> argparse.Namespace:
+    """`build_parser(command).parse_args(argv)`, with the top-level parser
+    built only when `command`'s parser cannot settle the line alone.  When
+    the line starts with `command`, argparse's subcommand dispatch hands the
+    rest to that parser's `parse_known_args` and sets `args.command`; this
+    does the same.  Words left over, or a first word that names no command,
+    go to the full parser, which prints the top-level error."""
+    if command in COMMANDS and argv[0] == command:
+        args, extras = command_parser(command).parse_known_args(argv[1:])
+        if not extras:
+            args.command = command
+            return args
+    return build_parser(command).parse_args(argv)
+
+
 def run(argv) -> int:
     """Dispatch a command line; returns the exit code and prints the report."""
     # the top-level parser has no option that takes a value, so its first
@@ -384,7 +405,7 @@ def run(argv) -> int:
     if command in COMMANDS:
         argv = _join_negative_values(argv, COMMANDS[command][3])
     try:
-        args = build_parser(command).parse_args(argv)
+        args = _parse(argv, command)
     except SystemExit as exc:
         return int(exc.code or 0)
     handler, _, takes_instance, _ = COMMANDS[args.command]

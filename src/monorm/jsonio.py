@@ -8,9 +8,15 @@ infinity literal.
 
 from __future__ import annotations
 
+import json
 import math
 
 __all__ = ["to_json", "jsonable"]
+
+#: a string as a JSON literal: quotes, backslashes and control characters
+#: escaped, every other character kept as it is (json.dumps with
+#: ensure_ascii=False, without building an encoder per call)
+_string_literal = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def jsonable(x):
@@ -37,7 +43,7 @@ def _emit(x, out: list[str]) -> None:
         else:
             out.append(f"{x:.17g}")
     elif isinstance(x, str):
-        out.append('"' + x.replace("\\", "\\\\").replace('"', '\\"') + '"')
+        out.append(_string_literal(x))
     elif isinstance(x, dict):
         out.append("{")
         for j, key in enumerate(sorted(x)):

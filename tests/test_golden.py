@@ -6,6 +6,7 @@ numbers on purpose, and quote its `--check` summary in CHANGES.md.
 """
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,22 @@ CASES = golden.load_cases()
 def test_golden_report(case):
     summary = golden.check_case(case)
     assert summary is None, f"{case['name']} moved:\n{summary}"
+
+
+def test_every_golden_report_is_json():
+    broken = []
+    for case in CASES:
+        try:
+            json.loads(golden.report_path(case).read_text())
+        except json.JSONDecodeError:
+            broken.append(case["name"])
+    assert broken == []
+
+
+def test_check_names_a_report_that_is_not_json(monkeypatch):
+    case = CASES[0]
+    monkeypatch.setattr(golden, "render", lambda case: (0, '{"name":"a\nb"}\n'))
+    assert golden.check_case(case).startswith("  not valid JSON: Invalid control character")
 
 
 def test_field_diffs_reports_largest_relative_difference():

@@ -1,5 +1,8 @@
 import argparse
-import importlib
+import contextlib
+import hashlib
+import importlib.util
+import io
 import json
 import math
 import os
@@ -8,11 +11,12 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from monorm import PowerGenerator, geometry, selfcheck, truncate
+from monorm import PowerGenerator, cli, geometry, selfcheck, truncate
 from monorm.cli import run
 from monorm.errors import InstanceError
-from monorm.instance import parse_instance
+from monorm.instance import instance_digest, parse_instance
 
 INSTANCE = {
     "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
@@ -160,6 +164,17 @@ def test_report_round_trip(instance_file, capsys):
     inst = parse(instance_file)
     recomputed = luxemburg_norm(inst.phi, inst.space, inst.functions["u2"])
     assert report["functions"]["u2"]["luxemburg"] == recomputed
+
+
+def test_function_names_with_control_characters_print_valid_json(tmp_path, capsys):
+    names = ["a\nb", 'q"\\', "tab\there", "\x00", "é€"]
+    payload = dict(INSTANCE, functions={name: [1.0, 2.0] for name in names})
+    argv = ["norm", "--instance", _write(tmp_path, payload), "--function", "all", "--json"]
+    assert run(argv) == 0
+    out = capsys.readouterr().out
+    assert sorted(json.loads(out)["functions"]) == sorted(names)
+    # a name without control characters keeps its bytes
+    assert '"é€":' in out
 
 
 def test_exit_codes(instance_file, tmp_path, capsys):
@@ -404,11 +419,99 @@ def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 0
-    assert built == ["monorm", "monorm gap"]
+    assert built == ["monorm gap"]
     for argv in (["bogus"], ["--help"]):
         built.clear()
         run(argv)
         assert len(built) <= 2, argv
+
+
+def _outcome(argv):
+    """(exit code, stdout without the wall time line, stderr) of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(list(argv))
+    lines = out.getvalue().split("\n")
+    return code, [line for line in lines if not line.startswith("wall_time_s:")], err.getvalue()
+
+
+def _assert_paths_agree(argv):
+    # the reference parses every line with the top-level parser
+    fast = _outcome(argv)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_parse", lambda argv, command: cli.build_parser(command).parse_args(argv))
+        full = _outcome(argv)
+    assert fast == full, argv
+
+
+@pytest.fixture(scope="module")
+def shared_instance(tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "inst.json"
+    path.write_text(json.dumps(INSTANCE))
+    return str(path)
+
+
+#: "F" stands for the instance path
+PARSE_CASES = [
+    ["norm", "--instance", "F", "--function", "u1"],
+    ["norm", "--inst", "F", "--func", "u1", "--wh", "orlicz"],
+    ["norm", "--instance=F", "--function=all", "--json"],
+    ["norm", "--instance", "F", "--function", "u1", "stray"],
+    ["norm", "--instance", "F", "--function", "u1", "--"],
+    ["norm", "--", "--instance", "F", "--function", "u1"],
+    ["norm", "-h", "stray"],
+    ["norm", "stray", "-h"],
+    ["norm", "--instance", "F", "--instance", "F", "--function", "u2", "--function", "u1"],
+    ["norm", "--instance", "F", "--function", "u1", "--json", "--json"],
+    ["norm", "--instance", "F", "--function", "u1", "--which", "bogus"],
+    ["norm", "--instance", "F", "--function"],
+    ["norm", "--in", "F", "--function", "u1"],
+    ["gap", "--instance", "F", "--delta", "-1"],
+    ["gap", "--instance", "F", "--delta", "-0.5", "-1"],
+    ["delta2", "--instance", "F", "--K", "-1e3"],
+    ["delta2", "--instance", "F", "--K=4", "--f-const", "-inf"],
+    ["conjugate", "--instance", "F", "--points", "3", "-x"],
+    ["selftest", "extra"],
+    ["selftest", "-h"],
+    ["gallery", "--ladder", "8", "stray"],
+    ["gallery", "--lad=8", "--", "x"],
+    ["--json", "norm", "--instance", "F", "--function", "u1"],
+    ["-h", "norm"],
+    ["bogus", "norm"],
+    ["stray"],
+    [],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(a) or "-" for a in PARSE_CASES])
+def test_command_parser_alone_agrees_with_the_top_level_parser(argv, shared_instance):
+    _assert_paths_agree([shared_instance if word == "F" else word for word in argv])
+
+
+_WORDS = [
+    "norm", "gap", "delta2", "conjugate", "bogus", "stray", "u1", "all", "0.5", "4",
+    "-1", "-0.5", "-1e3", "-inf", "--", "-h", "--help", "-x", "--json",
+    "--instance", "--inst", "F", "--instance=F", "--function", "--func", "--function=u2",
+    "--which", "--wh=orlicz", "--delta", "--delta=0.5", "--K", "--K=4", "--f-const",
+    "--atom", "--points=3", "--v-max",
+]
+
+
+@settings(max_examples=200)
+@given(
+    head=st.sampled_from([
+        [], ["norm"], ["gap"],
+        ["norm", "--instance", "F", "--function", "u1"],
+        ["gap", "--instance", "F", "--delta", "0.5"],
+        ["delta2", "--instance=F", "--K", "4"],
+        ["conjugate", "--instance", "F"],
+        ["smooth-space", "--instance", "F"],
+    ]),
+    tail=st.lists(st.sampled_from(_WORDS), max_size=7),
+)
+def test_parse_paths_agree_on_drawn_command_lines(head, tail, shared_instance):
+    _assert_paths_agree([shared_instance if w == "F" else w.replace("=F", "=" + shared_instance)
+                         for w in head + tail])
 
 
 def test_negative_option_values_reach_the_type_check(instance_file, capsys):
@@ -509,3 +612,30 @@ def test_broken_pipe_exits_without_traceback(instance_file):
     proc.stderr.close()
     assert proc.wait() == 141
     assert "Traceback" not in err and "BrokenPipeError" not in err
+
+
+GOLDEN_INSTANCES = sorted((DATA.parent / "golden" / "instances").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_INSTANCES, ids=[p.name for p in GOLDEN_INSTANCES])
+def test_instance_digest_is_the_sha256_prefix(path):
+    raw = json.loads(path.read_text())
+    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":")).encode()
+    assert instance_digest(raw) == hashlib.sha256(canonical).hexdigest()[:16]
+
+
+@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no builtin _sha256")
+def test_parse_instance_does_not_load_openssl(instance_file):
+    # hashlib's OpenSSL binding costs every CLI process memory and import time
+    code = (
+        "import sys; from monorm.instance import parse_instance; "
+        f"parse_instance({instance_file!r}); print('_hashlib' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
