@@ -39,13 +39,16 @@ from .generators import (
 )
 from .space import GridMeasureSpace, SimpleFunction
 
+# the interpreter's own SHA-256 gives the same digest as hashlib's without
+# loading OpenSSL (about 3.4 MB of resident memory and a few milliseconds of
+# import per CLI call); hashlib only where neither module exists
 try:
-    # the interpreter's own SHA-256 gives the same digest as hashlib's
-    # without loading OpenSSL (about 3.4 MB of resident memory and a few
-    # milliseconds of import per CLI call); hashlib where it is missing
-    from _sha256 import sha256
+    from _sha256 import sha256  # CPython 3.10 and 3.11
 except ImportError:
-    from hashlib import sha256
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        from hashlib import sha256
 
 __all__ = ["Instance", "parse_instance", "build_generator", "instance_digest"]
 

@@ -624,7 +624,10 @@ def test_instance_digest_is_the_sha256_prefix(path):
     assert instance_digest(raw) == hashlib.sha256(canonical).hexdigest()[:16]
 
 
-@pytest.mark.skipif(importlib.util.find_spec("_sha256") is None, reason="no builtin _sha256")
+@pytest.mark.skipif(
+    not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
+    reason="no builtin SHA-256 module",
+)
 def test_parse_instance_does_not_load_openssl(instance_file):
     # hashlib's OpenSSL binding costs every CLI process memory and import time
     code = (
