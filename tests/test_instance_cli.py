@@ -435,8 +435,10 @@ def _outcome(argv):
     return code, [line for line in lines if not line.startswith("wall_time_s:")], err.getvalue()
 
 
-def _assert_paths_agree(argv):
-    # the reference parses every line with the top-level parser
+def _assert_paths_agree(words, path):
+    # "F" stands for the instance path, alone or after "="; the reference
+    # parses every line with the top-level parser
+    argv = [path if w == "F" else w.replace("=F", "=" + path) for w in words]
     fast = _outcome(argv)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(cli, "_parse", lambda argv, command: cli.build_parser(command).parse_args(argv))
@@ -451,7 +453,6 @@ def shared_instance(tmp_path_factory):
     return str(path)
 
 
-#: "F" stands for the instance path
 PARSE_CASES = [
     ["norm", "--instance", "F", "--function", "u1"],
     ["norm", "--inst", "F", "--func", "u1", "--wh", "orlicz"],
@@ -485,7 +486,7 @@ PARSE_CASES = [
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=[" ".join(a) or "-" for a in PARSE_CASES])
 def test_command_parser_alone_agrees_with_the_top_level_parser(argv, shared_instance):
-    _assert_paths_agree([shared_instance if word == "F" else word for word in argv])
+    _assert_paths_agree(argv, shared_instance)
 
 
 _WORDS = [
@@ -510,8 +511,7 @@ _WORDS = [
     tail=st.lists(st.sampled_from(_WORDS), max_size=7),
 )
 def test_parse_paths_agree_on_drawn_command_lines(head, tail, shared_instance):
-    _assert_paths_agree([shared_instance if w == "F" else w.replace("=F", "=" + shared_instance)
-                         for w in head + tail])
+    _assert_paths_agree(head + tail, shared_instance)
 
 
 def test_negative_option_values_reach_the_type_check(instance_file, capsys):
