@@ -42,15 +42,20 @@ def load_cases() -> list[dict]:
     return json.loads((GOLDEN / "cases.json").read_text())
 
 
-def render(case: dict) -> tuple[int, str]:
-    """(exit code, stdout) of the case's command line with --json."""
+def case_argv(case: dict) -> list[str]:
+    """The case's command line with --json, its instance path made absolute."""
     argv = list(case["argv"])
     for j in range(len(argv) - 1):
         if argv[j] == "--instance":
             argv[j + 1] = str(GOLDEN / argv[j + 1])
+    return argv + ["--json"]
+
+
+def render(case: dict) -> tuple[int, str]:
+    """(exit code, stdout) of the case's command line with --json."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        code = run(argv + ["--json"])
+        code = run(case_argv(case))
     return code, out.getvalue()
 
 

@@ -1,6 +1,11 @@
 """Command-line interface: instance ingestion, subcommand dispatch, and
 deterministic JSON reports.
 
+`COMMANDS` is the grammar.  A valid line in the plain form is read straight
+from it (`_read_line`); argparse is imported, and the parsers are built from
+the same table, only for any other line, so the usage, help and error texts
+are argparse's own.
+
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure (a
 bracket that leaves float range or a result that fails its own check, so
 scripts can tell input problems from numerical ones), 141 when the reader of
@@ -9,11 +14,12 @@ stdout closes the pipe early.
 
 from __future__ import annotations
 
-import argparse
 import math
 import os
 import sys
 import time
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .conjugate import conjugate
 from .duality import (
@@ -34,6 +40,9 @@ from .geometry import (
 from .instance import Instance, parse_instance
 from .jsonio import jsonable, to_json
 from .norms import KSetNonEmpty, delta2_check, luxemburg_norm, orlicz_amemiya_norm, theta
+
+if TYPE_CHECKING:
+    import argparse
 
 __all__ = ["run", "main"]
 
@@ -267,7 +276,9 @@ def ladder(text: str) -> tuple[int, ...]:
 _FUNCTION = {"--function": {"required": True}}
 
 #: name -> (handler, help, whether it reads --instance, its other arguments as
-#: flag -> add_argument keywords); every subcommand also takes --json
+#: flag -> add_argument keywords); every subcommand also takes --json.  Both
+#: `command_parser` and `_read_line` read the keywords, so they are limited
+#: to required, help, choices, default and type
 COMMANDS = {
     "norm": (_cmd_norm, "Luxemburg/Orlicz/Amemiya norms and theta", True, {
         "--function": {"required": True, "help": "function name or 'all'"},
@@ -318,14 +329,20 @@ def _render_text(report: dict, indent: int = 0) -> str:
     return "\n".join(lines)
 
 
+def _arguments(name: str) -> dict:
+    """Every flag of subcommand `name` but --json, with its keywords:
+    --instance (required) first when the row reads an instance."""
+    _, _, takes_instance, arguments = COMMANDS[name]
+    return {"--instance": {"required": True}, **arguments} if takes_instance else arguments
+
+
 def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of subcommand `name`, built from its COMMANDS row."""
-    _, _, takes_instance, arguments = COMMANDS[name]
+    import argparse
+
     parser = argparse.ArgumentParser(prog=f"monorm {name}")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
-    if takes_instance:
-        parser.add_argument("--instance", required=True)
-    for flag, kwargs in arguments.items():
+    for flag, kwargs in _arguments(name).items():
         parser.add_argument(flag, **kwargs)
     return parser
 
@@ -340,8 +357,11 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     parses with the parser its first positional word names.  That word is
     `command` (the first word without a leading dash, as `run` picks it) or
     one with a leading dash, which no name has, so argparse rejects it as an
-    invalid choice before it looks up a parser.  `run` needs this parser
-    only for a command line that `command_parser` cannot settle alone."""
+    invalid choice before it looks up a parser.  `run` builds this parser
+    only for a command line `_read_line` cannot settle: its usage, help and
+    error texts are argparse's own."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="monorm",
         description="Musielak-Orlicz norm computations on grid instances",
@@ -356,6 +376,58 @@ def build_parser(command: str | None) -> argparse.ArgumentParser:
     for name, (_, help_text, _, _) in COMMANDS.items():
         sub.add_parser(name, help=help_text)
     return parser
+
+
+def _read_line(words: list[str], command: str) -> SimpleNamespace | None:
+    """The namespace `command_parser(command)` gives `words`, read straight
+    from the COMMANDS row, or None for a line in any other than the plain
+    form: exact flag names only, a value as `--flag=value` or as the next
+    word when that has no leading dash, `--json` alone.  As in argparse,
+    `type` converts every given value and every string default, `choices`
+    bounds every given value, and a repeated flag keeps its last value.  A
+    ValueError from a type, a value outside the choices or a missing
+    required flag also gives None, and argparse settles the line."""
+    arguments = _arguments(command)
+    args = SimpleNamespace(command=command, json=False)
+    given = {}
+    j = 0
+    try:
+        while j < len(words):
+            flag, eq, value = words[j].partition("=")
+            j += 1
+            if flag == "--json" and not eq:
+                args.json = True
+                continue
+            if flag not in arguments:
+                return None
+            if not eq:
+                if j == len(words) or words[j].startswith("-"):
+                    return None
+                value = words[j]
+                j += 1
+            elif value == "--":
+                # argparse drops this "--" too, and its versions differ on
+                # what the flag is left with
+                return None
+            keywords = arguments[flag]
+            if "type" in keywords:
+                value = keywords["type"](value)
+            if "choices" in keywords and value not in keywords["choices"]:
+                return None
+            given[flag] = value
+        for flag, keywords in arguments.items():
+            if flag in given:
+                value = given[flag]
+            elif keywords.get("required"):
+                return None
+            else:
+                value = keywords.get("default")
+                if isinstance(value, str) and "type" in keywords:
+                    value = keywords["type"](value)
+            setattr(args, flag[2:].replace("-", "_"), value)
+    except ValueError:
+        return None
+    return args
 
 
 def _is_number(word: str) -> bool:
@@ -382,17 +454,15 @@ def _join_negative_values(argv: list[str], flags: dict) -> list[str]:
     return out
 
 
-def _parse(argv: list[str], command: str | None) -> argparse.Namespace:
-    """`build_parser(command).parse_args(argv)`, with the top-level parser
-    built only when `command`'s parser cannot settle the line alone.  When
-    the line starts with `command`, argparse's subcommand dispatch hands the
-    rest to that parser's `parse_known_args` and sets `args.command`; this
-    does the same.  Words left over, or a first word that names no command,
-    go to the full parser, which prints the top-level error."""
+def _parse(argv: list[str], command: str | None) -> argparse.Namespace | SimpleNamespace:
+    """`build_parser(command).parse_args(argv)`, with no parser built when
+    the line starts with `command` and `_read_line` settles the rest; that
+    is every valid line in the plain form.  Any other line, a first word
+    that names no command among them, goes to the full parser, which
+    prints argparse's usage, help or error text."""
     if command in COMMANDS and argv[0] == command:
-        args, extras = command_parser(command).parse_known_args(argv[1:])
-        if not extras:
-            args.command = command
+        args = _read_line(argv[1:], command)
+        if args is not None:
             return args
     return build_parser(command).parse_args(argv)
 

@@ -148,6 +148,9 @@ def parse_instance(path: str | Path) -> Instance:
         raw = json.loads(path.read_text())
     except FileNotFoundError as exc:
         raise InstanceError(f"instance file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, bytes that are not text
+        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed JSON in {path}: {exc}") from exc
 

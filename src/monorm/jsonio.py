@@ -46,10 +46,10 @@ def _emit(x, out: list[str]) -> None:
         out.append(_string_literal(x))
     elif isinstance(x, dict):
         out.append("{")
-        for j, key in enumerate(sorted(x)):
+        for j, key in enumerate(sorted(x, key=str)):
             if j:
                 out.append(",")
-            _emit(str(key), out)
+            out.append(_string_literal(str(key)))
             out.append(":")
             _emit(x[key], out)
         out.append("}")
@@ -65,7 +65,9 @@ def _emit(x, out: list[str]) -> None:
 
 
 def to_json(obj) -> str:
-    """Deterministic JSON: sorted keys, 17-significant-digit floats."""
+    """Deterministic JSON: keys as strings in sorted order, floats with 17
+    significant digits, math.inf as "inf"; one walk over `obj`, with no
+    `jsonable` copy."""
     out: list[str] = []
-    _emit(jsonable(obj), out)
+    _emit(obj, out)
     return "".join(out)

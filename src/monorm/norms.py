@@ -246,8 +246,8 @@ def delta2_check(
 
     Scans DELTA2_SAMPLES log-spaced steps per atom up to a horizon plus
     probes at b(t); a "holds" verdict is over the sample only.  Requires
-    K > 1 and a threshold f with finite modular, that is f <= b at every
-    atom (phi is finite at a finite b).  A probe u with 2u <= b(t) at which
+    K > 1, a horizon u_max > 0 and a threshold f with finite modular, that
+    is f <= b at every atom (phi is finite at a finite b).  A probe u with 2u <= b(t) at which
     both sides overflow the floats cannot be ordered; unless a witness turns
     up elsewhere, such a probe raises PreconditionError rather than pass.
     Past b(t), phi(t, 2u) = inf is exact and a witness even when K phi(t, u)
@@ -255,6 +255,8 @@ def delta2_check(
     """
     if not K > 1:
         raise PreconditionError("doubling constant must exceed 1")
+    if not u_max > 0:
+        raise PreconditionError("horizon must be > 0")
     if f is None:
         f = SimpleFunction.constant(space, 0.0)
     elif isinstance(f, (int, float)):

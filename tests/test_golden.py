@@ -11,10 +11,17 @@ from pathlib import Path
 
 import pytest
 
-_SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "regen_golden.py"
-_spec = importlib.util.spec_from_file_location("regen_golden", _SCRIPT)
-golden = importlib.util.module_from_spec(_spec)
-_spec.loader.exec_module(golden)
+_SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(name, _SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+golden = _load("regen_golden")
 
 CASES = golden.load_cases()
 
@@ -63,3 +70,10 @@ def test_check_summary_quotes_absolute_and_relative_differences():
         "  rows[].ok: changed",
         "    true -> false",
     ]
+
+
+def test_cli_stages_times_each_stage_of_a_golden_line():
+    stages = _load("cli_stages")
+    seconds = stages.stage_seconds(golden.case_argv(CASES[0]), stages._cache_clearers())
+    assert list(seconds) == list(stages.STAGES)
+    assert all(value > 0 for value in seconds.values())

@@ -17,6 +17,7 @@ from monorm import PowerGenerator, cli, geometry, selfcheck, truncate
 from monorm.cli import run
 from monorm.errors import InstanceError
 from monorm.instance import instance_digest, parse_instance
+from monorm.jsonio import jsonable, to_json
 
 INSTANCE = {
     "space": {"atoms": [{"t": 0.25, "w": 0.5}, {"t": 0.75, "w": 0.5}]},
@@ -155,6 +156,12 @@ def test_json_determinism(instance_file, capsys):
     assert first == second
 
 
+def test_to_json_stringifies_and_sorts_keys_in_one_pass():
+    report = {2: (1.5, math.inf), "10": {"b": None, "a": True}, 1: [0, "x"]}
+    expected = '{"1":[0,"x"],"10":{"a":true,"b":null},"2":[1.5,"inf"]}'
+    assert to_json(report) == to_json(jsonable(report)) == expected
+
+
 def test_report_round_trip(instance_file, capsys):
     from monorm import luxemburg_norm
     from monorm.instance import parse_instance as parse
@@ -186,6 +193,12 @@ def test_exit_codes(instance_file, tmp_path, capsys):
     bad.write_text("{not json")
     assert run(["norm", "--instance", str(bad), "--function", "u1"]) == 2
     capsys.readouterr()
+    # a directory or bytes that are not text: an input error, not a traceback
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe")
+    for path in (str(tmp_path), "", str(binary)):
+        assert run(["norm", f"--instance={path}", "--function", "u1"]) == 2
+        assert capsys.readouterr().err.startswith("error: cannot read instance file"), path
 
 
 def test_smooth_space_command(instance_file, capsys):
@@ -418,8 +431,9 @@ def test_only_the_invoked_subcommand_gets_a_parser(instance_file, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    # a valid line is read from the COMMANDS row, without a parser
     assert run(["gap", "--instance", instance_file, "--delta", "0.5"]) == 0
-    assert built == ["monorm gap"]
+    assert built == []
     for argv in (["bogus"], ["--help"]):
         built.clear()
         run(argv)
@@ -467,6 +481,15 @@ PARSE_CASES = [
     ["norm", "--instance", "F", "--function", "u1", "--which", "bogus"],
     ["norm", "--instance", "F", "--function"],
     ["norm", "--in", "F", "--function", "u1"],
+    ["norm", "--instance", "F", "--function", "u1", "--json=1"],
+    ["norm", "--instance", "F", "--function="],
+    ["norm", "--instance", "F", "--function", "--json"],
+    ["norm", "--instance", "-1", "--function", "u1"],
+    ["norm", "--instance", "F", "--function", "-x y"],
+    ["norm", "--instance", "F", "--function", "u1", "--which=bogus"],
+    ["gallery", "--ladder="],
+    ["conjugate", "--instance", "F", "--points", "2.5"],
+    ["delta2", "--instance", "F", "--K", "4", "--f", "1"],
     ["gap", "--instance", "F", "--delta", "-1"],
     ["gap", "--instance", "F", "--delta", "-0.5", "-1"],
     ["delta2", "--instance", "F", "--K", "-1e3"],
@@ -494,7 +517,7 @@ _WORDS = [
     "-1", "-0.5", "-1e3", "-inf", "--", "-h", "--help", "-x", "--json",
     "--instance", "--inst", "F", "--instance=F", "--function", "--func", "--function=u2",
     "--which", "--wh=orlicz", "--delta", "--delta=0.5", "--K", "--K=4", "--f-const",
-    "--atom", "--points=3", "--v-max",
+    "--atom", "--points=3", "--v-max", "--json=1", "--function=", "--which=bogus",
 ]
 
 
@@ -512,6 +535,30 @@ _WORDS = [
 )
 def test_parse_paths_agree_on_drawn_command_lines(head, tail, shared_instance):
     _assert_paths_agree(head + tail, shared_instance)
+
+
+GOLDEN_CASES = json.loads((DATA.parent / "golden" / "cases.json").read_text())
+
+
+def test_the_line_reader_agrees_with_argparse_on_every_golden_line():
+    for case in GOLDEN_CASES:
+        command = case["argv"][0]
+        argv = cli._join_negative_values([*case["argv"], "--json"], cli.COMMANDS[command][3])
+        args = cli._read_line(argv[1:], command)
+        assert args is not None, case["name"]
+        assert vars(args) == vars(cli.build_parser(command).parse_args(argv)), case["name"]
+
+
+def test_the_line_reader_hands_a_double_dash_value_to_argparse():
+    # argparse drops "--" even after "=", and its versions differ on the rest
+    assert cli._read_line(["--instance=--", "--function", "u1"], "norm") is None
+
+
+def test_commands_use_only_the_keywords_the_line_reader_knows():
+    # an nargs or an action would change how argparse reads the line
+    for name, (_, _, _, arguments) in cli.COMMANDS.items():
+        for flag, keywords in arguments.items():
+            assert set(keywords) <= {"required", "help", "choices", "default", "type"}, flag
 
 
 def test_negative_option_values_reach_the_type_check(instance_file, capsys):
@@ -545,6 +592,10 @@ BAD_VALUES = {
         for value in ("nan", "inf", "-inf")
     },
     "--singular=-1": ["dual", "--density", "v1", "--singular=-1"],
+    **{
+        f"--horizon={value}": ["delta2", "--K", "4", f"--horizon={value}"]
+        for value in ("0", "-1")
+    },
     **{
         f"--ladder={value}": ["gallery", f"--ladder={value}"]
         for value in ("abc", "0", "-3", "", "256,,1024", "2.5")
@@ -624,6 +675,18 @@ def test_instance_digest_is_the_sha256_prefix(path):
     assert instance_digest(raw) == hashlib.sha256(canonical).hexdigest()[:16]
 
 
+def _fresh_stdout(code: str) -> str:
+    """The last line of stdout of `code` run in a fresh interpreter."""
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip().splitlines()[-1]
+
+
 @pytest.mark.skipif(
     not any(importlib.util.find_spec(name) for name in ("_sha2", "_sha256")),
     reason="no builtin SHA-256 module",
@@ -634,11 +697,15 @@ def test_parse_instance_does_not_load_openssl(instance_file):
         "import sys; from monorm.instance import parse_instance; "
         f"parse_instance({instance_file!r}); print('_hashlib' in sys.modules)"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env=dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path)),
+    assert _fresh_stdout(code) == "False"
+
+
+def test_a_valid_call_does_not_load_argparse(instance_file):
+    # argparse (with gettext) is imported only for a usage, help or error text
+    code = (
+        "import sys; from monorm.cli import run; "
+        f"run(['gap', '--instance', {instance_file!r}, '--delta', '0.5', '--json']); "
+        "before = 'argparse' in sys.modules; run(['norm', '-h']); "
+        "print(before, 'argparse' in sys.modules)"
     )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert _fresh_stdout(code) == "False True"

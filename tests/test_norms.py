@@ -304,3 +304,6 @@ def test_delta2_preconditions(two_atoms):
     with pytest.raises(PreconditionError):
         # threshold beyond the effective domain has infinite modular
         delta2_check(IndicatorGenerator(1.0), two_atoms, 4.0, 2.0)
+    for horizon in (0.0, -1.0, math.nan):
+        with pytest.raises(PreconditionError, match="horizon"):
+            delta2_check(PowerGenerator(2.0), two_atoms, 4.0, 0.0, u_max=horizon)
