@@ -340,10 +340,32 @@ def command_parser(name: str) -> argparse.ArgumentParser:
     """The parser of subcommand `name`, built from its COMMANDS row."""
     import argparse
 
+    class Store(argparse.Action):
+        """argparse's store, which also reads the value of `--flag=--` as
+        "--" on CPython 3.10-3.12, as 3.13 does: those versions drop the
+        "--" and store [], unconverted and unchecked."""
+
+        def __call__(self, parser, namespace, values, option_string=None):
+            if values == []:
+                values = "--"
+                if self.type is not None:
+                    try:
+                        values = self.type(values)
+                    except (TypeError, ValueError):
+                        raise argparse.ArgumentError(
+                            self, f"invalid {self.type.__name__} value: '--'"
+                        ) from None
+                if self.choices is not None and values not in self.choices:
+                    choices = ", ".join(map(repr, self.choices))
+                    raise argparse.ArgumentError(
+                        self, f"invalid choice: '--' (choose from {choices})"
+                    )
+            setattr(namespace, self.dest, values)
+
     parser = argparse.ArgumentParser(prog=f"monorm {name}")
     parser.add_argument("--json", action="store_true", help="emit a JSON report")
     for flag, kwargs in _arguments(name).items():
-        parser.add_argument(flag, **kwargs)
+        parser.add_argument(flag, action=Store, **kwargs)
     return parser
 
 
@@ -405,10 +427,6 @@ def _read_line(words: list[str], command: str) -> SimpleNamespace | None:
                     return None
                 value = words[j]
                 j += 1
-            elif value == "--":
-                # argparse drops this "--" too, and its versions differ on
-                # what the flag is left with
-                return None
             keywords = arguments[flag]
             if "type" in keywords:
                 value = keywords["type"](value)

@@ -7,11 +7,13 @@ below as the resolution (>= 2) grows.
 
 - orlicz_norm_bruteforce: ||u||_0 = sup <u, v> over I*(v) <= 1, by a scan
   of per-atom magnitude grids (best_grid_point) and a coordinate polish
-  (golden_max, one magnitude cap per probe).
+  (golden_max, one magnitude cap per probe, started from the bracket its
+  neighbouring probes give); on two atoms one pass when it ends with both
+  magnitudes positive.
 - luxemburg_norm_bruteforce: ||u|| = sup <u, v> over ||v||_{*,0} <= 1, as
   a fractional program over the same grids, solved by Dinkelbach's
-  iteration; each step searches a grid by index (_concave_argmax).  It
-  solves no norm.
+  iteration; each step searches a grid by index (_concave_argmax), the
+  call's one unit grid scaled to the step's cap.  It solves no norm.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -82,6 +85,16 @@ def _magnitude_grid(cap: float, resolution: int) -> list[float]:
     for j in range(half):
         pts.add(cap * 10.0 ** (-6.0 * (half - 1 - j) / max(1, half - 1)))
     return sorted(pts)
+
+
+def _scaled_grid(cap: float, unit: list[float], resolution: int) -> tuple[float, list[float]]:
+    """(scale, grid) with scale * grid[k] the magnitude grid on [0, cap]:
+    the unit grid _magnitude_grid(1.0, resolution) scaled by cap while every
+    scaled point is a normal float, and so strictly increasing as the grid
+    built for cap is; that grid itself below (cap = 0 included)."""
+    if cap * unit[1] >= sys.float_info.min:
+        return cap, unit
+    return 1.0, _magnitude_grid(cap, resolution)
 
 
 def _concave_argmax(value: Callable[[int], float], n: int) -> int:
@@ -167,16 +180,28 @@ def orlicz_norm_bruteforce(
     resolution: int = 200,
 ) -> float:
     """sup of integral u*v over I*(v) <= 1 by per-atom grid search with
-    rejection (best_grid_point), then one pass of coordinate polish to the
-    constraint boundary.  Every candidate is feasible, so the result is a
-    lower bound.
+    rejection (best_grid_point), then coordinate polish to the constraint
+    boundary, one pass per atom.  Every candidate is feasible, so the result
+    is a lower bound.
 
-    The polish varies one magnitude m_j by golden_max and spends the budget
+    A pass varies one magnitude m_j by golden_max and spends the budget
     left, 1 - w_j phi*(t_j, m_j), by scaling the others with the largest
     affordable factor s (a monotone_cap).  The cap's upper end is the
     conjugate's domain edge min_r b*(t_r) / m_r, beyond which the cost is
     infinite, so a conjugate that jumps to infinity there (linear) ends its
-    cap in a few evaluations instead of bisecting towards the jump.
+    cap in a few evaluations instead of bisecting towards the jump.  Within
+    a pass s does not increase with m_j, so each cap starts from the bracket
+    of the probes next to m_j: the s of the nearest larger one (affordable)
+    to that of the nearest smaller one.  A warm lower end found over budget
+    (phi* not monotone in its last ulps) is capped again from [0, edge].
+    The rescale after golden_max caps from [0, edge].
+
+    On two atoms the boundary w_0 phi*(m_0) + w_1 phi*(m_1) = 1 is one
+    curve, and the first pass maximizes g_0 m_0 + g_1 M_1(1 - w_0 phi*(m_0))
+    over all of it: M_1, the largest affordable m_1, inverts a convex
+    increasing map, so the map is concave.  The second pass is skipped
+    unless the first ended with a zero magnitude, which it then moved along
+    one axis only.
 
     Signs of v are matched to u atomwise (optimal, since the pairing is
     monotone in each |v_i| under the modular constraint)."""
@@ -203,17 +228,21 @@ def orlicz_norm_bruteforce(
     gains = [weights[i] * abs(u.values[i]) for i in supp]
     best_val, best_mags = best_grid_point(grids, gains)
 
-    # one coordinate pass of polish (golden_max) along the constraint
-    # manifold: vary one magnitude, rescale the rest to keep the conjugate
-    # modular at 1 (the resulting map is concave in the varied coordinate)
+    # coordinate polish (golden_max) along the constraint manifold: vary one
+    # magnitude, rescale the rest to keep the conjugate modular at 1 (the
+    # resulting map is concave in the varied coordinate)
     mags = best_mags
+    n = len(supp)
 
-    def fill_scale(j: int, budget: float) -> float:
-        others = [r for r in range(len(supp)) if r != j and mags[r] > 0.0]
-        if not others or budget <= 0.0:
-            return 0.0
+    def polish(j: int) -> None:
+        i = supp[j]
+        # the pass's invariants: the other magnitudes stay fixed during it
+        others = [r for r in range(n) if r != j and mags[r] > 0.0]
         w_others = [weights[supp[r]] for r in others]
         points = [(coords[supp[r]], mags[r]) for r in others]
+        # the cost is infinite once some s * m passes its atom's b*(t)
+        edge = min((conj.finite_bound(t) / m for t, m in points), default=0.0)
+        rest_gain = sum(gains[r] * mags[r] for r in range(n) if r != j)
 
         def cost(s: float) -> float:
             values = []
@@ -221,32 +250,51 @@ def orlicz_norm_bruteforce(
                 values.append(conj.phi(t, s * m))
             return weighted_sum(w_others, values)
 
-        # the cost is infinite once some s * m passes its atom's b*(t)
-        edge = min(conj.finite_bound(t) / m for t, m in points)
-        return monotone_cap(cost, budget, 0.0, edge)
+        def fill_scale(budget: float, lo: float = 0.0, hi: float = edge) -> float:
+            if not points or budget <= 0.0:
+                return 0.0
+            # a cap on [lo, lo] returns lo, affordable or not (checked below)
+            s = monotone_cap(cost, budget, lo, hi) if lo < hi else lo
+            if s == lo > 0.0 and cost(lo) > budget:
+                # the warm lower end was over budget (phi* not monotone in
+                # its last ulps): cap from scratch
+                s = monotone_cap(cost, budget, 0.0, edge)
+            return s
 
-    for j, i in enumerate(supp):
-        rest_gain = sum(gains[r] * mags[r] for r in range(len(supp)) if r != j)
+        # the pass's probes by magnitude, with their scales: s does not
+        # increase with m_j, so the neighbours of a new probe bracket its s
+        probe_m: list[float] = []
+        probe_s: list[float] = []
 
-        def h(mj: float, j=j, i=i, rest_gain=rest_gain) -> float:
+        def h(mj: float) -> float:
             c = conj.phi(coords[i], mj)
             if math.isinf(c):
                 return -math.inf
             budget = 1.0 - weights[i] * c
             if budget < -1e-12:
                 return -math.inf
-            s = fill_scale(j, max(0.0, budget))
+            k = bisect.bisect_left(probe_m, mj)
+            hi = probe_s[k - 1] if k else edge
+            lo = min(probe_s[k], hi) if k < len(probe_s) else 0.0
+            s = fill_scale(max(0.0, budget), lo, hi)
+            probe_m.insert(k, mj)
+            probe_s.insert(k, s)
             return gains[j] * mj + s * rest_gain
 
         m_best, val = golden_max(h, 0.0, caps[j])
         if val > sum(g * m for g, m in zip(gains, mags)):
             c = conj.phi(coords[i], m_best)
-            budget = 1.0 - weights[i] * c
-            s = fill_scale(j, max(0.0, budget))
-            for r in range(len(supp)):
+            s = fill_scale(max(0.0, 1.0 - weights[i] * c))
+            for r in range(n):
                 if r != j:
                     mags[r] *= s
             mags[j] = m_best
+
+    for j in range(n):
+        if j == 1 and n == 2 and mags[0] > 0.0 and mags[1] > 0.0:
+            # pass 0 moved along the whole boundary curve, a concave map
+            break
+        polish(j)
     val = sum(g * m for g, m in zip(gains, mags))
     best_val = max(best_val, val)
     return best_val
@@ -272,7 +320,10 @@ def luxemburg_norm_bruteforce(
     phi*(t_i, m) atom by atom: the best point of a magnitude grid on
     [0, cap_i], refined by golden_max between that point's grid neighbours.
     The maximizer has w_i phi*(t_i, m) / m <= g_i / lambda, a ratio
-    nondecreasing in m, which gives cap_i.  The objective is concave, so
+    nondecreasing in m, which gives cap_i.  The grid is the call's unit grid
+    _magnitude_grid(1.0, resolution) scaled by cap_i (_scaled_grid), read
+    point by point, instead of a grid built per step.  The objective is
+    concave, so
     _concave_argmax finds the grid point a full scan would take in about
     2 log2(resolution) evaluations.  The iteration stops when lambda stops
     increasing.  No norm is solved on the way.
@@ -291,6 +342,7 @@ def luxemburg_norm_bruteforce(
     weights = [space.weights[i] for i in supp]
     gains = [w * abs(u.values[i]) for w, i in zip(weights, supp)]
     tops = [min(conj.finite_bound(t), LUX_MAGNITUDE_CEILING) for t in coords]
+    unit = _magnitude_grid(1.0, resolution)
 
     def ratio(mags: list[float]) -> float:
         costs = []
@@ -305,13 +357,13 @@ def luxemburg_norm_bruteforce(
         def slope(m: float) -> float:
             return w * conj.phi(t, m) / m if m > 0.0 else w * conj.right_deriv(t, 0.0)
 
-        grid = _magnitude_grid(monotone_cap(slope, g / lam, 0.0, top), resolution)
-        value = functools.cache(lambda k: objective(grid[k]))
+        scale, grid = _scaled_grid(monotone_cap(slope, g / lam, 0.0, top), unit, resolution)
+        value = functools.cache(lambda k: objective(scale * grid[k]))
         j = _concave_argmax(value, len(grid))
         m_best, f_best = golden_max(
-            objective, grid[max(j - 1, 0)], grid[min(j + 1, len(grid) - 1)]
+            objective, scale * grid[max(j - 1, 0)], scale * grid[min(j + 1, len(grid) - 1)]
         )
-        return m_best if f_best > value(j) else grid[j]
+        return m_best if f_best > value(j) else scale * grid[j]
 
     n = len(supp)
     best = ratio([magnitude_cap(conj, t, 1.0 / (n * w)) for t, w in zip(coords, weights)])

@@ -77,3 +77,11 @@ def test_cli_stages_times_each_stage_of_a_golden_line():
     seconds = stages.stage_seconds(golden.case_argv(CASES[0]), stages._cache_clearers())
     assert list(seconds) == list(stages.STAGES)
     assert all(value > 0 for value in seconds.values())
+
+
+def test_oracle_costs_times_and_counts_an_oracle_op(tmp_path):
+    costs = _load("oracle_costs")
+    op = costs.oracle_ops(1, 1)[0]
+    row = costs.op_costs(op, costs._cache_clearers(), tmp_path / "instance.json")
+    assert all(row[name] > 0 for name in costs.TIMED)
+    assert all(row[f"{oracle} {count}"] > 0 for oracle in costs.ORACLES for count in costs.COUNTS)
