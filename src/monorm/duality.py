@@ -200,8 +200,8 @@ def orlicz_norm_bruteforce(
     curve, and the first pass maximizes g_0 m_0 + g_1 M_1(1 - w_0 phi*(m_0))
     over all of it: M_1, the largest affordable m_1, inverts a convex
     increasing map, so the map is concave.  The second pass is skipped
-    unless the first ended with a zero magnitude, which it then moved along
-    one axis only.
+    unless the first ended with a zero magnitude: a pass that starts from
+    one (the grid's best point can) moves along one axis only.
 
     Signs of v are matched to u atomwise (optimal, since the pairing is
     monotone in each |v_i| under the modular constraint)."""
@@ -320,13 +320,12 @@ def luxemburg_norm_bruteforce(
     phi*(t_i, m) atom by atom: the best point of a magnitude grid on
     [0, cap_i], refined by golden_max between that point's grid neighbours.
     The maximizer has w_i phi*(t_i, m) / m <= g_i / lambda, a ratio
-    nondecreasing in m, which gives cap_i.  The grid is the call's unit grid
-    _magnitude_grid(1.0, resolution) scaled by cap_i (_scaled_grid), read
-    point by point, instead of a grid built per step.  The objective is
-    concave, so
-    _concave_argmax finds the grid point a full scan would take in about
-    2 log2(resolution) evaluations.  The iteration stops when lambda stops
-    increasing.  No norm is solved on the way.
+    nondecreasing in m, which gives cap_i.  The grid is the call's one unit
+    grid _magnitude_grid(1.0, resolution) scaled by cap_i (_scaled_grid)
+    and read point by point.  The objective is concave, so _concave_argmax
+    finds the grid point a full scan would take in about 2 log2(resolution)
+    evaluations.  The iteration stops when lambda stops increasing.  No
+    norm is solved on the way.
 
     When phi has a finite bound, phi* grows linearly and the sup may be
     reached only as a magnitude goes to infinity (always so for indicator

@@ -25,10 +25,9 @@ from monorm import (
     truncate,
     truncated_norm_sequence,
 )
-from monorm import duality
+from monorm import duality, selfcheck
 from monorm.duality import best_grid_point, holder_equality_pair
 from monorm.errors import OracleScaleError, PreconditionError
-from monorm import selfcheck
 from monorm.selfcheck import random_space
 from conftest import all_families, random_instance
 
