@@ -201,6 +201,69 @@ def test_exit_codes(instance_file, tmp_path, capsys):
         assert capsys.readouterr().err.startswith("error: cannot read instance file"), path
 
 
+_READ_FILES = {
+    "inst.json": json.dumps(INSTANCE).encode(),
+    "sub/b.json": json.dumps(INSTANCE).encode(),
+    "bad.json": b"{not json",
+    "nonutf8.json": b'{"a": "\xff"}',
+    "bom.json": b"\xef\xbb\xbf" + json.dumps(INSTANCE).encode(),
+    "utf16.json": json.dumps(INSTANCE).encode("utf-16"),
+    "nan.json": json.dumps(INSTANCE).replace("[1.0, 1.0]", "[NaN, 1.0]").encode(),
+}
+_CANNOT_READ = "error: cannot read instance file "
+#: (--instance value, exit code, stderr), relative to a directory holding
+#: _READ_FILES; a message names the path as pathlib prints it
+READ_PATH_CASES = [
+    ("", 2, _CANNOT_READ + ".: [Errno 21] Is a directory: '.'\n"),
+    ("sub", 2, _CANNOT_READ + "sub: [Errno 21] Is a directory: 'sub'\n"),
+    ("sub/", 2, _CANNOT_READ + "sub: [Errno 21] Is a directory: 'sub'\n"),
+    ("inst.json/", 0, ""),
+    ("inst.json/x", 2, _CANNOT_READ + "inst.json/x: [Errno 20] Not a directory: 'inst.json/x'\n"),
+    ("./inst.json", 0, ""),
+    ("./bad.json", 2, "error: malformed JSON in bad.json: Expecting property name enclosed "
+                      "in double quotes: line 1 column 2 (char 1)\n"),
+    ("sub//b.json", 0, ""),
+    ("sub//missing.json", 2, "error: instance file not found: sub/missing.json\n"),
+    ("missing.json", 2, "error: instance file not found: missing.json\n"),
+    ("missing.json/", 2, "error: instance file not found: missing.json\n"),
+    ("nonutf8.json", 2, _CANNOT_READ + "nonutf8.json: 'utf-8' codec can't decode byte 0xff "
+                        "in position 7: invalid start byte\n"),
+    ("bom.json", 2, "error: malformed JSON in bom.json: Unexpected UTF-8 BOM (decode using "
+                    "utf-8-sig): line 1 column 1 (char 0)\n"),
+    ("utf16.json", 2, _CANNOT_READ + "utf16.json: 'utf-8' codec can't decode byte 0xff "
+                      "in position 0: invalid start byte\n"),
+    ("nan.json", 2, "error: function 'u1'[0] must be finite, got nan\n"),
+]
+
+
+@pytest.mark.parametrize(
+    "value,code,err", READ_PATH_CASES, ids=[c[0] or "-" for c in READ_PATH_CASES]
+)
+def test_instance_read_path_exit_codes_and_messages(
+    value, code, err, tmp_path, capsys, monkeypatch
+):
+    for name, data in _READ_FILES.items():
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
+    assert run(["norm", f"--instance={value}", "--function", "u1", "--json"]) == code
+    out, got = capsys.readouterr()
+    assert got == err
+    if code == 0:
+        assert json.loads(out)["digest"] == instance_digest(INSTANCE)
+
+
+def test_to_json_keeps_the_bytes_of_every_string():
+    # control characters escaped, non-ASCII text and lone surrogates as they are
+    texts = ["a\x00\x1f\x7f\n\t\"\\/", "é€𝄞", "\ud800", "x\udfffy"]
+    expected = ['"a\\u0000\\u001f\x7f\\n\\t\\"\\\\/"', '"é€𝄞"', '"\ud800"', '"x\udfffy"']
+    assert [to_json(t) for t in texts] == expected
+    assert to_json({t: t for t in texts}) == (
+        "{" + ",".join(f"{e}:{e}" for e, _ in sorted(zip(expected, texts), key=lambda p: p[1]))
+        + "}"
+    )
+
+
 def test_smooth_space_command(instance_file, capsys):
     code = run(["smooth-space", "--instance", instance_file, "--json"])
     report = json.loads(capsys.readouterr().out)
