@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
 """Where a short CLI call spends its time: microseconds per stage and
 subcommand over the command lines of tests/golden/cases.json (selftest
-left out), each with --json.
+left out), or over the short ops of the `atoms-small` benchmark workload,
+each with --json.
 
-    python scripts/cli_stages.py              # three rounds
+    python scripts/cli_stages.py              # golden lines, three rounds
     python scripts/cli_stages.py --rounds 5
+    python scripts/cli_stages.py --workload atoms-small --seed 7 --ops 660
+
+With --workload, the lines are those of workload ops 0 to --ops - 1 that
+are neither a brute-force oracle nor an op that must fail, read from
+perfbench/workloads.py, each with its instance in a file of its own.
 
 The stages are those of `monorm.cli.run`, timed in process one by one:
 
@@ -26,13 +32,18 @@ from __future__ import annotations
 import argparse
 import contextlib
 import io
+import json
 import platform
 import sys
+import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "scripts"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 import regen_golden  # noqa: E402  (puts src/ on sys.path)
+import workloads  # noqa: E402
 
 from monorm import cli  # noqa: E402
 from monorm.instance import parse_instance  # noqa: E402
@@ -83,18 +94,50 @@ def stage_seconds(argv: list[str], clearers: list) -> dict[str, float]:
     return dict(zip(STAGES, (t1 - t0, t2 - t1, t3 - t2, t4 - t3, t6 - t5)))
 
 
+def workload_lines(seed: int, count: int, directory: Path) -> list[list[str]]:
+    """The command lines of the short ops among atoms-small ops 0 to
+    count - 1 (no oracle, no op that must fail), each instance written to
+    its own file in directory."""
+    lines = []
+    for k in range(count):
+        op = workloads.atoms_small_op(seed, k)
+        if op.kind == "oracle" or op.expect != 0:
+            continue
+        path = directory / f"op{k}.json"
+        if op.instance is not None:
+            path.write_text(json.dumps(op.instance))
+        lines.append(op.argv(str(path)))
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--rounds", type=int, default=3)
+    parser.add_argument("--workload", choices=("atoms-small",), default=None,
+                        help="time the workload's short ops instead of the golden lines")
+    parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
+    parser.add_argument("--ops", type=int, default=660,
+                        help="workload ops to draw from (default 660, ten periods)")
     args = parser.parse_args()
 
-    lines = [regen_golden.case_argv(c) for c in regen_golden.load_cases()
-             if c["argv"][0] != "selftest"]
+    with tempfile.TemporaryDirectory() as tmp:
+        if args.workload is None:
+            lines = [regen_golden.case_argv(c) for c in regen_golden.load_cases()
+                     if c["argv"][0] != "selftest"]
+            source = "golden"
+        else:
+            lines = workload_lines(args.seed, args.ops, Path(tmp))
+            source = f"{args.workload} seed {args.seed}"
+        return _report(lines, args.rounds, source)
+
+
+def _report(lines: list[list[str]], rounds: int, source: str) -> int:
+    """Time every line `rounds` times and print the table."""
     clearers = _cache_clearers()
     totals: dict[str, dict[str, float]] = {}
     counts: dict[str, int] = {}
     round_run = []
-    for _ in range(args.rounds):
+    for _ in range(rounds):
         run_sum = 0.0
         for argv in lines:
             seconds = stage_seconds(argv, clearers)
@@ -105,17 +148,17 @@ def main() -> int:
             run_sum += seconds["run"]
         round_run.append(run_sum / len(lines))
 
-    print(f"# CPython {platform.python_version()}, {len(lines)} lines, "
-          f"{args.rounds} rounds; microseconds per call")
+    print(f"# CPython {platform.python_version()}, {source}, {len(lines)} lines, "
+          f"{rounds} rounds; microseconds per call")
     print(f"{'command':14s} {'lines':>5s}" + "".join(f" {s:>14s}" for s in STAGES))
     every = dict.fromkeys(STAGES, 0.0)
     for command, row in totals.items():
         n = counts[command]
-        print(f"{command:14s} {n // args.rounds:5d}"
+        print(f"{command:14s} {n // rounds:5d}"
               + "".join(f" {1e6 * row[s] / n:14.0f}" for s in STAGES))
         for stage in STAGES:
             every[stage] += row[stage]
-    n = len(lines) * args.rounds
+    n = len(lines) * rounds
     print(f"{'all':14s} {len(lines):5d}" + "".join(f" {1e6 * every[s] / n:14.0f}" for s in STAGES))
     print("run per round: " + " / ".join(f"{1e6 * r:.0f}" for r in round_run))
     return 0

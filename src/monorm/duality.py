@@ -14,6 +14,9 @@ below as the resolution (>= 2) grows.
   a fractional program over the same grids, solved by Dinkelbach's
   iteration; each step searches a grid by index (_concave_argmax), the
   call's one unit grid scaled to the step's cap.  It solves no norm.
+- dual_functional_norm: inf{lambda : I*(v/lambda) + s/lambda <= 1}, as
+  the cap of a load rescaled by max(max |v_i|, s) (monotone_cap), to
+  adjacent floats.
 """
 
 from __future__ import annotations
@@ -26,10 +29,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .conjugate import conjugate
-from .errors import OracleScaleError, PreconditionError
+from .errors import BracketError, OracleScaleError, PreconditionError
 from .generators import OrliczGenerator, modular, truncate, weighted_sum
 from .norms import luxemburg_norm, orlicz_amemiya_norm
-from .solvers import golden_max, monotone_boundary, monotone_cap
+from .solvers import golden_max, monotone_cap
 from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
 
 __all__ = [
@@ -47,6 +50,10 @@ MAX_ORACLE_ATOMS = 4
 LUX_MAGNITUDE_CEILING = 2.0**40
 #: a stop for the Dinkelbach iteration, which converges in a few steps
 _DINKELBACH_MAX_STEPS = 100
+#: nextafter steps dual_functional_norm takes from its first candidate, in
+#: either direction; a load monotone to the last ulp needs one or two
+_DUAL_STEPS = 16
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -419,23 +426,77 @@ def holder_equality_pair(
     return SimpleFunction(space, tuple(vals))
 
 
+def _dual_load(
+    conj: OrliczGenerator, space: GridMeasureSpace, d: DualDensity
+) -> tuple[float, Callable[[float], float], float]:
+    """The dual norm's problem rescaled, for a density v != 0: (M, load,
+    edge) with M = max(max |v_i|, s),
+
+        load(x) = I*(x v / M) + x s / M,
+
+    nondecreasing, and edge the largest x at which every x |v_i| / M stays
+    within its conjugate's domain b*(t_i) (beyond it the load is infinite).
+    A lambda > 0 is feasible exactly when load(M / lambda) <= 1."""
+    scale = max(max(map(abs, d.v.values)), d.s_norm)
+    v = SimpleFunction(space, tuple(x / scale for x in d.v.values))
+    s = d.s_norm / scale
+    edge = min(
+        (conj.finite_bound(t) / abs(x) for t, x in zip(space.coords, v.values) if x != 0.0),
+        default=math.inf,
+    )
+
+    def load(x: float) -> float:
+        return modular(conj, space, v * x) + x * s
+
+    return scale, load, edge
+
+
 def dual_functional_norm(
     gen: OrliczGenerator, space: GridMeasureSpace, d: DualDensity
 ) -> float:
     """Norm of the functional with density v and singular mass s:
 
-        inf{lambda > 0 : I*(v/lambda) + s/lambda <= 1}.
+        inf{lambda > 0 : I*(v/lambda) + s/lambda <= 1},
 
-    With s = 0 this is the Luxemburg norm of v under the conjugate."""
-    conj = conjugate(gen)
-    if d.v.is_zero() and d.s_norm == 0.0:
-        return 0.0
+    to the last float: a lambda at which the rescaled predicate
+    load(M / lambda) <= 1 of _dual_load holds and fails one float below.
+    With v = 0 it is s exactly; with s = 0 it is the Luxemburg norm of v
+    under the conjugate.
+
+    The cap x* of the load at 1 (monotone_cap, up to the conjugate's domain
+    edge) gives lambda = M / x*.  Where the predicate holds there, lambda
+    steps down by nextafter while it still holds one float below; where it
+    fails (M / x* rounds past x*), lambda steps up until it holds.  Either
+    walk takes at most _DUAL_STEPS steps; a load monotone to the last ulp
+    needs one or two.  Dividing by M keeps x* near 1, so a norm close to the
+    largest float is found rather than overflowed; a norm past it, or below
+    the normal floats, raises BracketError."""
+    if d.v.is_zero():
+        return d.s_norm
+    scale, load, edge = _dual_load(conjugate(gen), space, d)
 
     def feasible(lam: float) -> bool:
-        return modular(conj, space, d.v * (1.0 / lam)) + d.s_norm / lam <= 1.0
+        return load(scale / lam) <= 1.0
 
-    _, hi = monotone_boundary(feasible)
-    return hi
+    x = monotone_cap(load, 1.0, 0.0, edge)
+    lam = scale / x if x > 0.0 else math.inf
+    if _TINY <= lam < math.inf and feasible(lam):
+        for _ in range(_DUAL_STEPS):
+            below = math.nextafter(lam, 0.0)
+            if below < _TINY or not feasible(below):
+                break
+            lam = below
+        return lam
+    for _ in range(_DUAL_STEPS):
+        lam = math.nextafter(lam, math.inf)
+        if not _TINY <= lam < math.inf:
+            break
+        if feasible(lam):
+            return lam
+    raise BracketError(
+        f"no dual norm among the normal floats: the load of scale {scale!r} "
+        f"stays within 1 up to {x!r}"
+    )
 
 
 def truncated_norm_sequence(

@@ -73,7 +73,15 @@ def _finite(value, what: str) -> float:
 
 
 def _finite_list(values, what: str) -> list[float]:
-    return [_finite(v, f"{what}[{i}]") for i, v in enumerate(values)]
+    """[float(v) for v in values], all finite; the per-entry check runs only
+    to name the first bad entry."""
+    try:
+        xs = list(map(float, values))
+    except (TypeError, ValueError):
+        xs = None
+    if xs is None or not all(map(math.isfinite, xs)):
+        return [_finite(v, f"{what}[{i}]") for i, v in enumerate(values)]
+    return xs
 
 
 def build_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
@@ -134,25 +142,45 @@ def _family_generator(spec: dict, space: GridMeasureSpace) -> OrliczGenerator:
     raise InstanceError(f"unknown generator family '{family}'")
 
 
+#: the canonical text of a parsed instance: the encoder json.dumps builds
+#: for these arguments on every call, built once
+_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def instance_digest(raw: dict) -> str:
-    canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-    return sha256(canonical.encode()).hexdigest()[:16]
+    return sha256(_canonical(raw).encode()).hexdigest()[:16]
+
+
+def _read_text(path: str | Path) -> str:
+    """The file's text in the locale encoding, as Path.read_text reads it.
+
+    A plain open() reads a valid path; only when it fails is the path read
+    once more through pathlib, which takes "" for "." and drops a trailing
+    slash, so that every message names the path as pathlib prints it."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError):
+        pass
+    path = Path(path)
+    try:
+        return path.read_text()
+    except FileNotFoundError as exc:
+        raise InstanceError(f"instance file not found: {path}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file, bytes that are not text
+        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
 
 
 def parse_instance(path: str | Path) -> Instance:
     """Read and build an instance; raises InstanceError with the offending
     atom or field on any problem.  The family constructors check the
     generator parameters exactly; nothing is re-checked by sampling."""
-    path = Path(path)
+    text = _read_text(path)
     try:
-        raw = json.loads(path.read_text())
-    except FileNotFoundError as exc:
-        raise InstanceError(f"instance file not found: {path}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        # a directory, an unreadable file, bytes that are not text
-        raise InstanceError(f"cannot read instance file {path}: {exc}") from exc
+        raw = json.loads(text)
     except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON in {path}: {exc}") from exc
+        raise InstanceError(f"malformed JSON in {Path(path)}: {exc}") from exc
 
     try:
         atoms = raw["space"]["atoms"]
@@ -186,6 +214,6 @@ def parse_instance(path: str | Path) -> Instance:
             raise InstanceError(
                 f"function '{name}' has {len(values)} values for {len(space)} atoms"
             )
-        functions[name] = SimpleFunction.on(space, _finite_list(values, f"function '{name}'"))
+        functions[name] = SimpleFunction(space, tuple(_finite_list(values, f"function '{name}'")))
 
     return Instance(space, gen, functions, instance_digest(raw))

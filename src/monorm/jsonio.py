@@ -14,9 +14,9 @@ import math
 __all__ = ["to_json", "jsonable"]
 
 #: a string as a JSON literal: quotes, backslashes and control characters
-#: escaped, every other character kept as it is (json.dumps with
-#: ensure_ascii=False, without building an encoder per call)
-_string_literal = json.JSONEncoder(ensure_ascii=False).encode
+#: escaped, every other character kept as it is (the function that
+#: JSONEncoder(ensure_ascii=False).encode calls for a str)
+_string_literal = json.encoder.encode_basestring
 
 
 def jsonable(x):

@@ -1,8 +1,8 @@
 """Discretized measure spaces and the simple functions living on them.
 
 A non-atomic sigma-finite measure space is simulated by a finite list of
-weighted atoms; refinement splits every cell so that statements relying on
-non-atomicity can be tested along refinement ladders.
+weighted atoms; statements relying on non-atomicity are tested along
+ladders of finer grids.
 """
 
 from __future__ import annotations
@@ -54,29 +54,12 @@ class GridMeasureSpace:
         coords = tuple((j + 0.5) * h for j in range(n))
         return cls(coords, (h,) * n)
 
-    @property
-    def total_mass(self) -> float:
-        return sum(self.weights)
-
     def __len__(self) -> int:
         return len(self.coords)
 
     def items(self):
         return zip(self.coords, self.weights)
 
-    def refine(self, k: int) -> "GridMeasureSpace":
-        """Split every cell into k equal subcells (k*n atoms, same mass)."""
-        if k < 1:
-            raise ValueError("refinement factor must be >= 1")
-        coords: list[float] = []
-        weights: list[float] = []
-        for t, w in self.items():
-            left = t - w / 2.0
-            sub = w / k
-            for j in range(k):
-                coords.append(left + (j + 0.5) * sub)
-                weights.append(sub)
-        return GridMeasureSpace(tuple(coords), tuple(weights))
 
 
 @dataclass(frozen=True)
@@ -107,14 +90,6 @@ class SimpleFunction:
 
     def is_zero(self) -> bool:
         return all(v == 0.0 for v in self.values)
-
-    def masked(self, indices) -> "SimpleFunction":
-        """Restriction u * chi_A: keep the listed atoms, zero elsewhere."""
-        keep = set(indices)
-        return SimpleFunction(
-            self.space,
-            tuple(v if i in keep else 0.0 for i, v in enumerate(self.values)),
-        )
 
     def __mul__(self, c: float) -> "SimpleFunction":
         return SimpleFunction(self.space, tuple(c * v for v in self.values))

@@ -66,6 +66,33 @@ def all_families(space: GridMeasureSpace):
     ]
 
 
+def total_mass(space: GridMeasureSpace) -> float:
+    return sum(space.weights)
+
+
+def refine(space: GridMeasureSpace, k: int) -> GridMeasureSpace:
+    """Split every cell into k equal subcells (k*n atoms, same mass)."""
+    if k < 1:
+        raise ValueError("refinement factor must be >= 1")
+    coords: list[float] = []
+    weights: list[float] = []
+    for t, w in space.items():
+        left = t - w / 2.0
+        sub = w / k
+        for j in range(k):
+            coords.append(left + (j + 0.5) * sub)
+            weights.append(sub)
+    return GridMeasureSpace(tuple(coords), tuple(weights))
+
+
+def masked(u: SimpleFunction, indices) -> SimpleFunction:
+    """Restriction u * chi_A: keep the listed atoms, zero elsewhere."""
+    keep = set(indices)
+    return SimpleFunction(
+        u.space, tuple(v if i in keep else 0.0 for i, v in enumerate(u.values))
+    )
+
+
 def random_instance(rng: random.Random, max_atoms: int = 6):
     """(generator, space, function) on 2 to max_atoms atoms, drawn through
     selfcheck's builders, the ones the acceptance criteria use."""

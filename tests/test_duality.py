@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from monorm import (
     DualDensity,
@@ -217,6 +218,36 @@ def test_dual_norm_matches_luxemburg_of_conjugate():
         got = dual_functional_norm(gen, space, DualDensity(u, 0.0))
         want = luxemburg_norm(conjugate(gen), space, u)
         assert got == pytest.approx(want, abs=1e-9 * max(1.0, want))
+
+
+@given(st.integers(), st.one_of(st.just(0.0), st.floats(1e-3, 4.0)))
+def test_dual_norm_is_the_first_float_of_its_predicate(seed, s_norm):
+    gen, space, v = random_instance(random.Random(seed))
+    d = DualDensity(v, s_norm)
+    lam = dual_functional_norm(gen, space, d)
+    scale, load, _ = duality._dual_load(conjugate(gen), space, d)
+    assert load(scale / lam) <= 1.0
+    assert load(scale / math.nextafter(lam, 0.0)) > 1.0
+
+
+def test_dual_norm_of_a_zero_density_is_the_singular_mass(two_atoms, monkeypatch):
+    zero = SimpleFunction.on(two_atoms, (0.0, 0.0))
+    monkeypatch.setattr(duality, "modular", None)  # no modular is evaluated
+    for s_norm in (0.0, 5e-324, 0.1, 1.0 / 3.0, 1.7e308):
+        d = DualDensity(zero, s_norm)
+        assert dual_functional_norm(PowerGenerator(2.0), two_atoms, d) == s_norm
+
+
+def test_dual_norm_evaluation_count(two_atoms, monkeypatch):
+    # one cap of the load and a step or two; bisecting the predicate to a
+    # width of 1e-10 took 35 modulars here
+    calls = []
+    real = duality.modular
+    monkeypatch.setattr(duality, "modular", lambda *args: calls.append(1) or real(*args))
+    v = SimpleFunction.on(two_atoms, (1.0, -2.0))
+    norm = dual_functional_norm(PowerGenerator(2.0), two_atoms, DualDensity(v, 0.25))
+    assert norm == pytest.approx(0.125 + math.sqrt(0.125**2 + 1.25), rel=1e-15)
+    assert len(calls) <= 18
 
 
 def test_density_must_be_finite(two_atoms):

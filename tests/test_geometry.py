@@ -32,7 +32,7 @@ from monorm import (
 from monorm import geometry, selfcheck
 from monorm.conjugate import conjugate
 from monorm.errors import DomainError
-from conftest import all_families, random_instance
+from conftest import all_families, random_instance, refine
 
 
 def test_construct_power(two_atoms):
@@ -354,7 +354,7 @@ def test_space_smoothness_is_scale_invariant(a, x, y):
 @given(PLQ_ROWS, st.booleans(), st.integers(1, 4), st.integers(1, 3))
 def test_space_smoothness_is_invariant_under_refinement(rows, bounded, k, n):
     space = GridMeasureSpace.uniform(n)
-    fine = space.refine(k)
+    fine = refine(space, k)
     plain = [g for g in all_families(space) if not isinstance(g, VariableExponentGenerator)]
     gens = plain + [_plq(rows, bounded)]
     for gen in gens + [truncate(g, 0.5) for g in gens]:

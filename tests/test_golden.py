@@ -79,6 +79,16 @@ def test_cli_stages_times_each_stage_of_a_golden_line():
     assert all(value > 0 for value in seconds.values())
 
 
+def test_cli_stages_times_the_short_ops_of_a_workload(tmp_path):
+    stages = _load("cli_stages")
+    lines = stages.workload_lines(1, 21, tmp_path)
+    # op 19 is a brute-force oracle, the rest are short ops
+    assert len(lines) == 20 and all(line[0] != "oracle" for line in lines)
+    seconds = stages.stage_seconds(lines[0], stages._cache_clearers())
+    assert list(seconds) == list(stages.STAGES)
+    assert all(value > 0 for value in seconds.values())
+
+
 def test_oracle_costs_times_and_counts_an_oracle_op(tmp_path):
     costs = _load("oracle_costs")
     op = costs.oracle_ops(1, 1)[0]

@@ -473,6 +473,35 @@ def test_instance_corpus_exit_codes(name, capsys):
     assert code == EXIT_CODES[name], capsys.readouterr().err
 
 
+#: `dual --density v` with v = (1.7e308, 1) on two atoms of weight 0.5: the
+#: exit code and the closed-form norm, where there is one
+DUAL_NEAR_MAX = {
+    "dual_near_max_linear.json": (0, 1.7e308),  # max |v_i| / slope
+    "dual_near_max_power.json": (0, 1.7e308 / 2.0),  # (sum w v^2 / 2)^(1/2)
+    "dual_near_max_indicator.json": (0, 0.5 * 1.7e308 + 0.5),  # c sum w |v|
+    # phi' ends at 1.5, where the conjugate's domain ends; w phi*(1.5) = 0.5
+    "dual_near_max_plq.json": (0, 1.7e308 / 1.5),
+    "dual_near_max_xlogx.json": (0, None),
+    "dual_near_max_expminusone.json": (0, None),
+    # slope 0.5: the norm max |v_i| / 0.5 is past the float range
+    "dual_past_max_linear.json": (3, None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DUAL_NEAR_MAX))
+def test_dual_norm_near_the_float_maximum(name, capsys):
+    code, expected = DUAL_NEAR_MAX[name]
+    assert run(["dual", "--instance", str(DATA / name), "--density", "v", "--json"]) == code
+    out, err = capsys.readouterr()
+    if code:
+        assert err.startswith("numerical bracket failure: ")
+        return
+    norm = json.loads(out)["norm"]
+    assert 1.7e308 / 4.0 < norm < math.inf
+    if expected is not None:
+        assert norm == pytest.approx(expected, rel=4 * sys.float_info.epsilon)
+
+
 HELP = json.loads((DATA / "cli_help.json").read_text())
 
 
