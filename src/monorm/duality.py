@@ -434,9 +434,10 @@ def _dual_load(
 
         load(x) = I*(x v / M) + x s / M,
 
-    nondecreasing, and edge the largest x at which every x |v_i| / M stays
-    within its conjugate's domain b*(t_i) (beyond it the load is infinite).
-    A lambda > 0 is feasible exactly when load(M / lambda) <= 1."""
+    nondecreasing, and edge = min b*(t_i) M / |v_i|, where some x |v_i| / M
+    reaches the end of its conjugate's domain (the load is infinite
+    beyond, up to rounding).  A lambda > 0 is feasible exactly when
+    load(M / lambda) <= 1."""
     scale = max(max(map(abs, d.v.values)), d.s_norm)
     v = SimpleFunction(space, tuple(x / scale for x in d.v.values))
     s = d.s_norm / scale

@@ -61,7 +61,6 @@ class GridMeasureSpace:
         return zip(self.coords, self.weights)
 
 
-
 @dataclass(frozen=True)
 class SimpleFunction:
     """Real values on the atoms of a grid measure space."""
