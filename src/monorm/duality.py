@@ -30,10 +30,10 @@ from typing import Callable
 
 from .conjugate import conjugate
 from .errors import BracketError, OracleScaleError, PreconditionError
-from .generators import OrliczGenerator, modular, truncate, weighted_sum
+from .generators import OrliczGenerator, modular, truncate
 from .norms import luxemburg_norm, orlicz_amemiya_norm
 from .solvers import golden_max, monotone_cap
-from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
+from .space import GridMeasureSpace, SimpleFunction, pairing, sgn, weighted_sum
 
 __all__ = [
     "DualDensity",
@@ -249,7 +249,7 @@ def orlicz_norm_bruteforce(
         points = [(coords[supp[r]], mags[r]) for r in others]
         # the cost is infinite once some s * m passes its atom's b*(t)
         edge = min((conj.finite_bound(t) / m for t, m in points), default=0.0)
-        rest_gain = sum(gains[r] * mags[r] for r in range(n) if r != j)
+        rest_gain = weighted_sum([gains[r] for r in others], [mags[r] for r in others])
 
         def cost(s: float) -> float:
             values = []
@@ -289,7 +289,7 @@ def orlicz_norm_bruteforce(
             return gains[j] * mj + s * rest_gain
 
         m_best, val = golden_max(h, 0.0, caps[j])
-        if val > sum(g * m for g, m in zip(gains, mags)):
+        if val > weighted_sum(gains, mags):
             c = conj.phi(coords[i], m_best)
             s = fill_scale(max(0.0, 1.0 - weights[i] * c))
             for r in range(n):
@@ -302,7 +302,7 @@ def orlicz_norm_bruteforce(
             # pass 0 moved along the whole boundary curve, a concave map
             break
         polish(j)
-    val = sum(g * m for g, m in zip(gains, mags))
+    val = weighted_sum(gains, mags)
     best_val = max(best_val, val)
     return best_val
 

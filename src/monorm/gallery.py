@@ -19,9 +19,9 @@ from __future__ import annotations
 
 import math
 
-from .generators import VariableExponentGenerator, modular, weighted_sum
+from .generators import VariableExponentGenerator, modular
 from .solvers import monotone_cap
-from .space import GridMeasureSpace, SimpleFunction
+from .space import GridMeasureSpace, SimpleFunction, weighted_sum
 
 __all__ = ["gallery_report"]
 

@@ -23,8 +23,8 @@ range; evaluation never re-checks them, and its overflow saturates to
 math.inf.
 
 Every weighted per-atom sum (the modular, the conjugate modular of the
-derivative, the degenerate masses) goes through weighted_sum, one correctly
-rounded kernel.
+derivative, the degenerate masses) goes through space.weighted_sum, one
+correctly rounded kernel.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from functools import cached_property
 from typing import NamedTuple, Sequence
 
 from .errors import DomainError, SpaceMismatchError
-from .space import GridMeasureSpace, SimpleFunction
+from .space import GridMeasureSpace, SimpleFunction, weighted_sum
 
 __all__ = [
     "OrliczGenerator",
@@ -53,7 +53,6 @@ __all__ = [
     "CappedGenerator",
     "subdiff",
     "modular",
-    "weighted_sum",
     "truncate",
 ]
 
@@ -735,20 +734,6 @@ def subdiff(gen: OrliczGenerator, t: float, u: float) -> tuple[float, float]:
     if u > b:
         raise DomainError(f"u = {u} lies outside the effective domain (b = {b})")
     return gen.left_deriv(t, u), gen.right_deriv(t, u)
-
-
-def weighted_sum(weights: Sequence[float], values: Sequence[float]) -> float:
-    """sum_i w_i * x_i for values in [0, inf], correctly rounded (math.fsum),
-    so the result does not depend on the atom order; math.inf when any term
-    is infinite or the finite terms sum past the float range.
-
-    Callers inside bisections build the value list with a plain loop: on
-    CPython 3.11 a list comprehension closing over the generator made the
-    brute-force oracles about 10% slower."""
-    try:
-        return math.fsum(map(operator.mul, weights, values))
-    except OverflowError:
-        return math.inf
 
 
 def modular(

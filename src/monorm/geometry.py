@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from .conjugate import conjugate
 from .errors import DomainError, PostconditionError
-from .generators import OrliczGenerator, modular, weighted_sum
+from .generators import OrliczGenerator, modular
 from .norms import (
     KSetDegenerate,
     KSetNonEmpty,
@@ -38,7 +38,7 @@ from .norms import (
 )
 from .duality import DualDensity, dual_functional_norm, magnitude_cap
 from .solvers import monotone_cap
-from .space import GridMeasureSpace, SimpleFunction, pairing, sgn
+from .space import GridMeasureSpace, SimpleFunction, pairing, sgn, weighted_sum
 
 __all__ = [
     "SupportFunctional",
@@ -440,7 +440,9 @@ def classify_smooth_point(
         (conj.zero_bound(t) for i, t in enumerate(space.coords) if i not in supp),
         default=0.0,
     )
-    off_mass = sum(w for i, (_, w) in enumerate(space.items()) if i not in supp)
+    off_mass = weighted_sum(
+        space.weights, [0.0 if i in supp else 1.0 for i in range(len(space))]
+    )
     cond_i = abs(mass_supp - 1.0) <= eps_eq and off_a_max == 0.0
     cond_ii = mass_all < 1.0 - eps_eq and off_mass == 0.0
     conditions["support_mass_at_one"] = ClauseCheck(

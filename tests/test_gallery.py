@@ -5,8 +5,8 @@ import pytest
 from monorm import gallery
 from monorm.cli import run
 from monorm.gallery import gallery_report
-from monorm.generators import VariableExponentGenerator, weighted_sum
-from monorm.space import GridMeasureSpace
+from monorm.generators import VariableExponentGenerator
+from monorm.space import GridMeasureSpace, weighted_sum
 
 
 def test_gallery_trend():

@@ -22,7 +22,7 @@ from monorm import (
     truncate,
     verify_support_functional,
 )
-from monorm.generators import weighted_sum
+from monorm.space import weighted_sum
 from monorm.geometry import _gap
 
 
