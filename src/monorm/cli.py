@@ -70,37 +70,32 @@ def _function(inst: Instance, name: str):
         ) from None
 
 
-def _norm_entry(inst: Instance, name: str) -> dict:
+def _norm_entry(inst: Instance, name: str, which: str) -> dict:
+    """The `norm` report of one function, computing only what `which` keeps:
+    the Luxemburg norm alone, or the Orlicz (Amemiya) norm with K(u), or
+    both and theta for "all"."""
     u = _function(inst, name)
-    lux = luxemburg_norm(inst.phi, inst.space, u)
+    entry = {}
+    if which in ("luxemburg", "all"):
+        entry["luxemburg"] = luxemburg_norm(inst.phi, inst.space, u)
+    if which == "luxemburg":
+        return entry
     orl, ks = orlicz_amemiya_norm(inst.phi, inst.space, u)
-    entry = {
-        "luxemburg": lux,
-        "orlicz": orl,
-        "amemiya": orl,
-        "degenerate": ks.is_degenerate,
-        "k_star": None,
-        "k_double_star": None,
-        "theta": theta(inst.phi, inst.space, u),
-    }
-    if isinstance(ks, KSetNonEmpty):
-        entry["k_star"] = ks.k_star
-        entry["k_double_star"] = ks.k_double_star
+    for key in ("orlicz", "amemiya"):
+        if which in (key, "all"):
+            entry[key] = orl
+    nonempty = isinstance(ks, KSetNonEmpty)
+    entry["degenerate"] = ks.is_degenerate
+    entry["k_star"] = ks.k_star if nonempty else None
+    entry["k_double_star"] = ks.k_double_star if nonempty else None
+    if which == "all":
+        entry["theta"] = theta(inst.phi, inst.space, u)
     return entry
 
 
 def _cmd_norm(args, inst: Instance) -> dict:
     names = sorted(inst.functions) if args.function == "all" else [args.function]
-    results = {}
-    for name in names:
-        entry = _norm_entry(inst, name)
-        if args.which in ("luxemburg", "orlicz", "amemiya"):
-            keep = {args.which, "degenerate", "k_star", "k_double_star"}
-            if args.which == "luxemburg":
-                keep = {"luxemburg"}
-            entry = {k: v for k, v in entry.items() if k in keep}
-        results[name] = entry
-    return {"functions": results}
+    return {"functions": {name: _norm_entry(inst, name, args.which) for name in names}}
 
 
 def _cmd_conjugate(args, inst: Instance) -> dict:

@@ -372,7 +372,12 @@ def luxemburg_norm_bruteforce(
         return m_best if f_best > value(j) else scale * grid[j]
 
     n = len(supp)
-    best = ratio([magnitude_cap(conj, t, 1.0 / (n * w)) for t, w in zip(coords, weights)])
+    # a start cap that underflows to 0 starts at the smallest normal float
+    starts = [magnitude_cap(conj, t, 1.0 / (n * w)) or _TINY for t, w in zip(coords, weights)]
+    best = ratio(starts)
+    if not best > 0.0:
+        # every gain underflows, or no start is affordable: no step divides by 0
+        return best
     for _ in range(_DINKELBACH_MAX_STEPS):
         trial = [step(*atom, best) for atom in zip(coords, weights, gains, tops)]
         val = ratio(trial)

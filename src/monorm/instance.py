@@ -62,9 +62,12 @@ class Instance:
 
 
 def _finite(value, what: str) -> float:
-    """float(value), rejecting NaN and the infinities json.loads accepts."""
+    """float(value), rejecting NaN, the infinities json.loads accepts and
+    integers past the float range."""
     try:
         x = float(value)
+    except OverflowError as exc:
+        raise InstanceError(f"{what} is an integer past the float range") from exc
     except (TypeError, ValueError) as exc:
         raise InstanceError(f"{what} must be a number, got {value!r}") from exc
     if not math.isfinite(x):
@@ -77,7 +80,7 @@ def _finite_list(values, what: str) -> list[float]:
     to name the first bad entry."""
     try:
         xs = list(map(float, values))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         xs = None
     if xs is None or not all(map(math.isfinite, xs)):
         return [_finite(v, f"{what}[{i}]") for i, v in enumerate(values)]
@@ -181,6 +184,10 @@ def parse_instance(path: str | Path) -> Instance:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed JSON in {Path(path)}: {exc}") from exc
+    except (ValueError, RecursionError) as exc:
+        # an integer literal longer than the interpreter's digit limit, or
+        # arrays nested deeper than its recursion limit
+        raise InstanceError(f"cannot decode JSON in {Path(path)}: {exc}") from exc
 
     try:
         atoms = raw["space"]["atoms"]

@@ -25,8 +25,8 @@ def weighted_sum(weights: Sequence[float], values: Sequence[float]) -> float:
 
     When fsum raises (the finite terms sum past the float range, or the
     terms hold both +inf and -inf) the builtin sum of the same terms is
-    returned: math.inf for terms in [0, inf], and -inf or nan for the signed
-    terms of pairing.
+    returned: math.inf for terms in [0, inf], and +-inf or nan for the
+    signed terms of pairing.
 
     Callers inside bisections build the value list with a plain loop: on
     CPython 3.11 a list comprehension closing over the generator made the

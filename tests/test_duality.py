@@ -496,3 +496,10 @@ def test_a_warm_cap_over_budget_is_redone_from_scratch(monkeypatch):
         # only a warm cap can end over budget, and the next cap redoes it
         assert calls[k][1] > 0.0
         assert calls[k + 1][:2] == (calls[k][0], 0.0) and calls[k + 1][2]
+
+
+def test_luxemburg_bruteforce_with_an_underflowing_gain():
+    # w |u| = 1e-400 is 0 as a float: no Dinkelbach step, 0 is the bound
+    space = GridMeasureSpace((0.5,), (1e-200,))
+    u = SimpleFunction.on(space, (1e-200,))
+    assert luxemburg_norm_bruteforce(PowerGenerator(2.0), space, u, 8) == 0.0

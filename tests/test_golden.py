@@ -7,6 +7,8 @@ numbers on purpose, and quote its `--check` summary in CHANGES.md.
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -95,3 +97,15 @@ def test_oracle_costs_times_and_counts_an_oracle_op(tmp_path):
     row = costs.op_costs(op, costs._cache_clearers(), tmp_path / "instance.json")
     assert all(row[name] > 0 for name in costs.TIMED)
     assert all(row[f"{oracle} {count}"] > 0 for oracle in costs.ORACLES for count in costs.COUNTS)
+
+
+def test_cross_python_passes_on_the_running_interpreter():
+    done = subprocess.run(
+        [sys.executable, str(_SCRIPTS / "cross_python.py"), sys.executable],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stdout + done.stderr
+    version = "%d.%d.%d" % sys.version_info[:3]
+    [line] = done.stdout.splitlines()
+    assert line.split()[:2] == [version, "ok"]
+    assert f"selftest passed, golden {len(CASES)}/{len(CASES)} reports match" in line

@@ -19,6 +19,7 @@ from monorm import (
     k_interval,
     luxemburg_norm,
     modular,
+    pairing,
     truncate,
     verify_support_functional,
 )
@@ -77,6 +78,11 @@ def test_overflow_saturates_to_inf(two_atoms):
 
 def test_finite_terms_summing_past_the_float_range_give_inf():
     assert weighted_sum([2.0, 2.0], [1e308, 1e308]) == math.inf
+    # signed terms, where fsum raises: the builtin sum's -inf and nan
+    space = GridMeasureSpace((0.25, 0.75), (1.0, 1.0))
+    u = SimpleFunction.on(space, (1e308, 1e308))
+    assert pairing(u, SimpleFunction.on(space, (-1.5, -1.5))) == -math.inf
+    assert math.isnan(pairing(u, SimpleFunction.on(space, (1e308, -1e308))))
     # the first Luxemburg probe, lambda = 1, has such a modular
     space = GridMeasureSpace((0.25, 0.75), (2.0, 2.0))
     u = SimpleFunction.on(space, (1.3e154, 1.3e154))

@@ -148,6 +148,45 @@ def test_norm_which_keeps_its_keys(instance_file, capsys, which, keys):
             assert json.dumps(value) == json.dumps(full[name][key])
 
 
+def test_norm_which_computes_only_what_it_reports(instance_file, tmp_path, capsys, monkeypatch):
+    # u = (1e308, 1e308): the Luxemburg norm, 1e308 / sqrt(2), is a float,
+    # while k* of the Orlicz norm lies below the normal floats
+    payload = {**INSTANCE, "functions": {"u1": [1e308, 1e308]}}
+    argv = ["norm", "--instance", _write(tmp_path, payload), "--function", "u1", "--json"]
+    assert run(argv + ["--which", "luxemburg"]) == 0
+    lux = json.loads(capsys.readouterr().out)["functions"]["u1"]["luxemburg"]
+    assert lux == pytest.approx(1e308 / math.sqrt(2.0), rel=1e-9)
+    for which in ("orlicz", "all"):
+        assert run(argv + ["--which", which]) == 3
+        assert capsys.readouterr().err.startswith("numerical bracket failure: ")
+
+    def unused(*args):
+        raise AssertionError("computed a quantity the report leaves out")
+
+    monkeypatch.setattr(cli, "luxemburg_norm", unused)
+    monkeypatch.setattr(cli, "theta", unused)
+    for which in ("orlicz", "amemiya"):
+        assert run(["norm", "--instance", instance_file, "--function", "all", "--which", which]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("weight", [1.0, 1e100, 1e200, 1e300])
+def test_oracle_when_the_start_magnitude_underflows(tmp_path, capsys, weight):
+    # indicator c = 1e300 and u = (2): the norm is 2 / c for every weight, and
+    # the Luxemburg oracle's start magnitude 1 / (w c) underflows to 0 for
+    # w >= 1e100
+    payload = {
+        "space": {"atoms": [{"t": 0.5, "w": weight}]},
+        "phi": {"family": "indicator", "c": 1e300},
+        "functions": {"u1": [2.0]},
+    }
+    argv = ["oracle", "--instance", _write(tmp_path, payload), "--function", "u1"]
+    assert run(argv + ["--resolution", "8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["luxemburg_bruteforce"] <= report["luxemburg"]
+    assert report["luxemburg_bruteforce"] == pytest.approx(2e-300, rel=1e-9)
+
+
 def test_json_determinism(instance_file, capsys):
     run(["norm", "--instance", instance_file, "--function", "all", "--json"])
     first = capsys.readouterr().out
