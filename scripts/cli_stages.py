@@ -72,7 +72,6 @@ def stage_seconds(argv: list[str], clearers: list) -> dict[str, float]:
     args = cli._parse(cli._join_negative_values(argv, cli.COMMANDS[command][3]), command)
     t1 = time.perf_counter()
     handler, _, takes_instance, _ = cli.COMMANDS[command]
-    args.eps_eq = cli._eps_eq()
     report = {"command": command}
     inst = None
     if takes_instance:

@@ -31,7 +31,6 @@ from .duality import (
 from .errors import BracketError, MonormError, PostconditionError
 from .gallery import gallery_report
 from .geometry import (
-    EPS_EQ,
     check_space_smoothness,
     classify_smooth_point,
     construct_support_functional,
@@ -45,20 +44,6 @@ if TYPE_CHECKING:
     import argparse
 
 __all__ = ["run", "main"]
-
-
-def _eps_eq() -> float:
-    """EPS_EQ scaled by the MO_TOL_OVERRIDE factor, which must be a finite
-    number > 0; read once per invocation, so every subcommand rejects a bad
-    value."""
-    raw = os.environ.get("MO_TOL_OVERRIDE", "1.0")
-    try:
-        scale = float(raw)
-    except ValueError:
-        scale = math.nan
-    if not (math.isfinite(scale) and scale > 0):
-        raise MonormError(f"MO_TOL_OVERRIDE must be a finite number > 0, got {raw!r}")
-    return EPS_EQ * scale
 
 
 def _function(inst: Instance, name: str):
@@ -146,7 +131,7 @@ def _cmd_oracle(args, inst: Instance) -> dict:
 
 def _cmd_support(args, inst: Instance) -> dict:
     u = _function(inst, args.function)
-    sf = construct_support_functional(inst.phi, inst.space, u, eps_eq=args.eps_eq)
+    sf = construct_support_functional(inst.phi, inst.space, u)
     return {
         "function": args.function,
         "density": list(sf.density.values),
@@ -170,7 +155,7 @@ def _cmd_support(args, inst: Instance) -> dict:
 
 def _cmd_smooth_point(args, inst: Instance) -> dict:
     u = _function(inst, args.function)
-    rep = classify_smooth_point(inst.phi, inst.space, u, eps_eq=args.eps_eq)
+    rep = classify_smooth_point(inst.phi, inst.space, u)
     return {
         "function": args.function,
         "smooth": rep.smooth,
@@ -312,10 +297,10 @@ COMMANDS = {
 
 
 def _render_text(report: dict, indent: int = 0) -> str:
+    """The text form of a report that `jsonable` has converted."""
     lines = []
     pad = "  " * indent
     for key, value in report.items():
-        value = jsonable(value)
         if isinstance(value, dict):
             lines.append(f"{pad}{key}:")
             lines.append(_render_text(value, indent + 1))
@@ -495,12 +480,12 @@ def run(argv) -> int:
     report = {"command": args.command}
     started = time.perf_counter()
     try:
-        args.eps_eq = _eps_eq()
         inst = None
         if takes_instance:
             inst = parse_instance(args.instance)
             report["digest"] = inst.digest
         report.update(handler(args, inst))
+        text = to_json(report) if args.json else _render_text(jsonable(report))
     except BracketError as exc:
         print(f"numerical bracket failure: {exc}", file=sys.stderr)
         return 3
@@ -510,10 +495,8 @@ def run(argv) -> int:
     except MonormError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(to_json(report))
-    else:
-        print(_render_text(report))
+    print(text)
+    if not args.json:
         elapsed = time.perf_counter() - started
         print(f"wall_time_s: {elapsed:.3f}")
     if args.command == "selftest" and not report["passed"]:

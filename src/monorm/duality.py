@@ -81,6 +81,14 @@ def _check_oracle_args(space: GridMeasureSpace, resolution: int) -> None:
         raise PreconditionError(f"oracle resolution must be >= 2, got {resolution}")
 
 
+def _lower_bound(value: float, oracle: str) -> float:
+    """An oracle's result, which must be finite: a gain w_i |u_i| past the
+    float range makes the bound inf, which bounds nothing."""
+    if not math.isfinite(value):
+        raise BracketError(f"the {oracle} oracle's lower bound is {value!r}, not a finite float")
+    return value
+
+
 def _magnitude_grid(cap: float, resolution: int) -> list[float]:
     """log+linear hybrid grid on [0, cap]."""
     if cap <= 0:
@@ -303,8 +311,7 @@ def orlicz_norm_bruteforce(
             break
         polish(j)
     val = weighted_sum(gains, mags)
-    best_val = max(best_val, val)
-    return best_val
+    return _lower_bound(max(best_val, val), "Orlicz")
 
 
 def luxemburg_norm_bruteforce(
@@ -372,19 +379,24 @@ def luxemburg_norm_bruteforce(
         return m_best if f_best > value(j) else scale * grid[j]
 
     n = len(supp)
-    # a start cap that underflows to 0 starts at the smallest normal float
-    starts = [magnitude_cap(conj, t, 1.0 / (n * w)) or _TINY for t, w in zip(coords, weights)]
+    # a start cap that underflows to 0 starts at the smallest normal float;
+    # one past the float range (a budget 1 / (n w) near it) stops at the top,
+    # as the steps do, so no gain that underflows to 0 meets an inf
+    starts = [
+        min(magnitude_cap(conj, t, 1.0 / (n * w)) or _TINY, top)
+        for t, w, top in zip(coords, weights, tops)
+    ]
     best = ratio(starts)
     if not best > 0.0:
         # every gain underflows, or no start is affordable: no step divides by 0
-        return best
+        return _lower_bound(best, "Luxemburg")
     for _ in range(_DINKELBACH_MAX_STEPS):
         trial = [step(*atom, best) for atom in zip(coords, weights, gains, tops)]
         val = ratio(trial)
         if not val > best:
             break
         best = val
-    return best
+    return _lower_bound(best, "Luxemburg")
 
 
 def holder_gap(

@@ -14,7 +14,7 @@ need singular mass are flagged as non-atomic-limit constructs; their
 singular clause cannot be realized atom-by-atom.
 
 The "= 1" modular clauses and the density clauses of verification use the
-equality band eps_eq = 1e-7, absorbing the 1e-10 width of the K(u)
+fixed equality band EPS_EQ = 1e-7, absorbing the 1e-10 width of the K(u)
 brackets.  The structural clauses (derivative jumps, the conjugate's bounds,
 theta) are read exactly from the closed forms, and the doubling condition
 from the family's flag, so the space-smoothness criterion evaluates no
@@ -182,22 +182,22 @@ def _boxes(
     return _segments(gen, space, u, ks.dstar[0], ks.star[1])
 
 
-def _excess(lo: float, hi: float, ui: float, vi: float, eps_eq: float) -> float:
+def _excess(lo: float, hi: float, ui: float, vi: float) -> float:
     """How far vi lies outside the sign-and-subdifferential clause at one
     atom (sign of ui, magnitude in [lo, hi]); 0.0 when the clause holds."""
     mag = abs(vi)
     if ui == 0.0:
-        return mag if mag > eps_eq else 0.0
-    if mag <= eps_eq:
+        return mag if mag > EPS_EQ else 0.0
+    if mag <= EPS_EQ:
         # a zero value is admissible exactly when 0 lies in the
         # subdifferential (sgn 0 is compatible with either sign)
-        return lo if math.isfinite(lo) and lo > eps_eq else 0.0
+        return lo if math.isfinite(lo) and lo > EPS_EQ else 0.0
     if sgn(vi) != sgn(ui):
         return mag + 1.0
     # an infinite lower end is no shortfall (IEEE would give +inf)
     below = lo - mag if math.isfinite(lo) else -math.inf
     excess = max(below, mag - hi)
-    return excess if excess > eps_eq else 0.0
+    return excess if excess > EPS_EQ else 0.0
 
 
 def _pinned_density(
@@ -254,7 +254,6 @@ def construct_support_functional(
     gen: OrliczGenerator,
     space: GridMeasureSpace,
     u: SimpleFunction,
-    eps_eq: float = EPS_EQ,
 ) -> SupportFunctional:
     """Build the support functional at u.
 
@@ -274,13 +273,13 @@ def construct_support_functional(
             norm_value=dual_functional_norm(gen, space, d),
             achieved=pairing(u, v),
             limit_construct=False,
-            report=_verify(gen, conj, space, u, ks, d, eps_eq),
+            report=_verify(gen, conj, space, u, ks, d),
         )
 
     segs = _with_conjugate(conj, _segments(gen, space, u, *ks.star))
     values, total = _select_density(conj, space, u, segs, range(len(space)))
     s_norm = max(0.0, 1.0 - total)
-    if s_norm < eps_eq:
+    if s_norm < EPS_EQ:
         s_norm = 0.0
     v = SimpleFunction(space, tuple(values))
     d = DualDensity(v, s_norm)
@@ -291,7 +290,7 @@ def construct_support_functional(
         norm_value=dual_functional_norm(gen, space, d),
         achieved=achieved,
         limit_construct=s_norm > 0.0,
-        report=_verify(gen, conj, space, u, ks, d, eps_eq),
+        report=_verify(gen, conj, space, u, ks, d),
     )
 
 
@@ -305,7 +304,6 @@ def verify_support_functional(
     space: GridMeasureSpace,
     u: SimpleFunction,
     f: DualDensity,
-    eps_eq: float = EPS_EQ,
 ) -> VerifyReport:
     """Check the support-functional conditions clause by clause.
 
@@ -318,15 +316,15 @@ def verify_support_functional(
     equals sgn(u) b* on the support.
     """
     conj, ks = _conjugate_and_k(gen, space, u, "support functionals are defined for u != 0")
-    return _verify(gen, conj, space, u, ks, f, eps_eq)
+    return _verify(gen, conj, space, u, ks, f)
 
 
-def _verify(gen, conj, space, u, ks, f, eps_eq) -> VerifyReport:
+def _verify(gen, conj, space, u, ks, f) -> VerifyReport:
     """verify_support_functional's clauses, given phi* and K(u)."""
     total = modular(conj, space, f.v) + f.s_norm
     if isinstance(ks, KSetNonEmpty):
         branch = "k_nonempty"
-        if f.s_norm <= eps_eq:
+        if f.s_norm <= EPS_EQ:
             singular = ClauseCheck(
                 "singular_attainment", f.s_norm, 0.0, True, "vacuous: no singular mass"
             )
@@ -340,11 +338,11 @@ def _verify(gen, conj, space, u, ks, f, eps_eq) -> VerifyReport:
                 "(non-atomic-limit construct)",
             )
         worst = max(
-            _excess(lo, hi, ui, vi, eps_eq)
+            _excess(lo, hi, ui, vi)
             for (_, _, lo, hi), ui, vi in zip(_boxes(gen, space, u, ks), u.values, f.v.values)
         )
         clauses = (
-            ClauseCheck("modular_plus_singular", total, 1.0, abs(total - 1.0) <= eps_eq),
+            ClauseCheck("modular_plus_singular", total, 1.0, abs(total - 1.0) <= EPS_EQ),
             singular,
             ClauseCheck("sign_and_subdifferential", worst, 0.0, worst == 0.0),
         )
@@ -356,8 +354,8 @@ def _verify(gen, conj, space, u, ks, f, eps_eq) -> VerifyReport:
             if ui != 0.0
         )
         clauses = (
-            ClauseCheck("modular_plus_singular_leq", total, 1.0, total <= 1.0 + eps_eq),
-            ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= eps_eq),
+            ClauseCheck("modular_plus_singular_leq", total, 1.0, total <= 1.0 + EPS_EQ),
+            ClauseCheck("density_pinned_to_bound", worst, 0.0, worst <= EPS_EQ),
         )
     return VerifyReport(branch, clauses, all(c.passed for c in clauses))
 
@@ -371,7 +369,6 @@ def classify_smooth_point(
     gen: OrliczGenerator,
     space: GridMeasureSpace,
     u: SimpleFunction,
-    eps_eq: float = EPS_EQ,
 ) -> SmoothnessReport:
     """Decide whether u is a smooth point.
 
@@ -393,14 +390,14 @@ def classify_smooth_point(
         segs = _with_conjugate(conj, _segments(gen, space, u, *ks.star))
         i_lo = weighted_sum(space.weights, [seg[4] for seg in segs])
         i_hi = weighted_sum(space.weights, [seg[5] for seg in segs])
-        cond_i = abs(i_lo - 1.0) <= eps_eq
+        cond_i = abs(i_lo - 1.0) <= EPS_EQ
         conditions["left_modular_at_one"] = ClauseCheck(
             "left_modular_at_one", i_lo, 1.0, cond_i
         )
         # theta first: theta = 0 (finite-valued) never meets an inf; the top
         # of the k* bracket is at least the true k*, so no factor is needed
         finite_beyond = theta(gen, space, u) * ks.star[1] < 1.0
-        cond_ii_eq = abs(i_hi - 1.0) <= eps_eq
+        cond_ii_eq = abs(i_hi - 1.0) <= EPS_EQ
         cond_ii = cond_ii_eq and finite_beyond
         conditions["right_modular_at_one"] = ClauseCheck(
             "right_modular_at_one", i_hi, 1.0, cond_ii_eq
@@ -417,8 +414,8 @@ def classify_smooth_point(
                 conj, space, u, segs, range(len(space) - 1, -1, -1)
             )
             if (
-                abs(tf - 1.0) <= math.sqrt(eps_eq)
-                and abs(tb - 1.0) <= math.sqrt(eps_eq)
+                abs(tf - 1.0) <= math.sqrt(EPS_EQ)
+                and abs(tb - 1.0) <= math.sqrt(EPS_EQ)
                 and max(abs(a - b) for a, b in zip(fwd, bwd)) > 1e-6
             ):
                 witnesses = (
@@ -443,16 +440,16 @@ def classify_smooth_point(
     off_mass = weighted_sum(
         space.weights, [0.0 if i in supp else 1.0 for i in range(len(space))]
     )
-    cond_i = abs(mass_supp - 1.0) <= eps_eq and off_a_max == 0.0
-    cond_ii = mass_all < 1.0 - eps_eq and off_mass == 0.0
+    cond_i = abs(mass_supp - 1.0) <= EPS_EQ and off_a_max == 0.0
+    cond_ii = mass_all < 1.0 - EPS_EQ and off_mass == 0.0
     conditions["support_mass_at_one"] = ClauseCheck(
-        "support_mass_at_one", mass_supp, 1.0, abs(mass_supp - 1.0) <= eps_eq
+        "support_mass_at_one", mass_supp, 1.0, abs(mass_supp - 1.0) <= EPS_EQ
     )
     conditions["conjugate_zero_bound_off_support"] = ClauseCheck(
         "conjugate_zero_bound_off_support", off_a_max, 0.0, off_a_max == 0.0
     )
     conditions["full_mass_below_one"] = ClauseCheck(
-        "full_mass_below_one", mass_all, 1.0, mass_all < 1.0 - eps_eq
+        "full_mass_below_one", mass_all, 1.0, mass_all < 1.0 - EPS_EQ
     )
     conditions["full_support"] = ClauseCheck(
         "full_support", off_mass, 0.0, off_mass == 0.0
@@ -460,11 +457,11 @@ def classify_smooth_point(
     smooth = cond_i or cond_ii
     witnesses = None
     if not smooth:
-        witnesses = _degenerate_witnesses(conj, space, u, mass_supp, eps_eq)
+        witnesses = _degenerate_witnesses(conj, space, u, mass_supp)
     return SmoothnessReport(smooth, branch, conditions, witnesses, "")
 
 
-def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
+def _degenerate_witnesses(conj, space, u, mass_supp):
     """Two distinct support densities in the degenerate branch: pin b* on
     the support, then either spend modular slack off the support or use the
     conjugate zero bound there."""
@@ -479,7 +476,7 @@ def _degenerate_witnesses(conj, space, u, mass_supp, eps_eq):
     a_star = conj.zero_bound(t)
     if a_star > 0.0:
         second[i] = a_star
-    elif budget > eps_eq:
+    elif budget > EPS_EQ:
 
         def cost(m: float) -> float:
             return w * conj.phi(t, m)

@@ -2,14 +2,17 @@
 
 Numbers are printed with 17 significant digits (enough to round-trip IEEE
 doubles byte-identically); math.inf, the value of an infinite modular,
-bound or derivative, serializes as the string "inf" since JSON has no
-infinity literal.
+bound or derivative, serializes as the string "inf" and -math.inf as
+"-inf", since JSON has no infinity literal.  A NaN stands for no number, so
+a report holding one is not serialized: PostconditionError names its key.
 """
 
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import PostconditionError
 
 __all__ = ["to_json", "jsonable"]
 
@@ -19,15 +22,52 @@ __all__ = ["to_json", "jsonable"]
 _string_literal = json.encoder.encode_basestring
 
 
-def jsonable(x):
-    """Recursively convert report values into JSON-encodable structures."""
-    if isinstance(x, float) and math.isinf(x):
-        return "inf"
+class _NaNLeaf(Exception):
+    """A NaN met while converting a report; the caller names its key."""
+
+
+def _nan_path(x) -> str | None:
+    """Where the first NaN leaf of x sits, in the order to_json writes it,
+    as ".key" and "[index]" steps; None when x holds no NaN."""
+    if isinstance(x, float):
+        return "" if math.isnan(x) else None
     if isinstance(x, dict):
-        return {str(k): jsonable(v) for k, v in x.items()}
+        steps = ((f".{k}", x[k]) for k in sorted(x, key=str))
+    elif isinstance(x, (list, tuple)):
+        steps = ((f"[{j}]", v) for j, v in enumerate(x))
+    else:
+        return None
+    for step, v in steps:
+        rest = _nan_path(v)
+        if rest is not None:
+            return step + rest
+    return None
+
+
+def _nan_error(report) -> PostconditionError:
+    where = _nan_path(report).removeprefix(".") or "its top level"
+    return PostconditionError(f"the report holds NaN at {where}")
+
+
+def _jsonable(x):
+    if isinstance(x, float) and not math.isfinite(x):
+        if math.isnan(x):
+            raise _NaNLeaf
+        return "inf" if x > 0 else "-inf"
+    if isinstance(x, dict):
+        return {str(k): _jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
-        return [jsonable(v) for v in x]
+        return [_jsonable(v) for v in x]
     return x
+
+
+def jsonable(x):
+    """Recursively convert report values into JSON-encodable structures:
+    +-inf as "inf" and "-inf"; PostconditionError for a NaN leaf."""
+    try:
+        return _jsonable(x)
+    except _NaNLeaf:
+        raise _nan_error(x) from None
 
 
 def _emit(x, out: list[str]) -> None:
@@ -38,10 +78,12 @@ def _emit(x, out: list[str]) -> None:
     elif isinstance(x, int):
         out.append(str(x))
     elif isinstance(x, float):
-        if math.isinf(x):
-            out.append('"inf"')
-        else:
+        if math.isfinite(x):
             out.append(f"{x:.17g}")
+        elif math.isnan(x):
+            raise _NaNLeaf
+        else:
+            out.append('"inf"' if x > 0 else '"-inf"')
     elif isinstance(x, str):
         out.append(_string_literal(x))
     elif isinstance(x, dict):
@@ -66,8 +108,11 @@ def _emit(x, out: list[str]) -> None:
 
 def to_json(obj) -> str:
     """Deterministic JSON: keys as strings in sorted order, floats with 17
-    significant digits, math.inf as "inf"; one walk over `obj`, with no
-    `jsonable` copy."""
+    significant digits, +-math.inf as "inf" and "-inf"; one walk over
+    `obj`, with no `jsonable` copy.  PostconditionError for a NaN leaf."""
     out: list[str] = []
-    _emit(obj, out)
+    try:
+        _emit(obj, out)
+    except _NaNLeaf:
+        raise _nan_error(obj) from None
     return "".join(out)

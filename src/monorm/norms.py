@@ -20,6 +20,7 @@ Downstream "= 1" tests use a 1e-7 equality band.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .conjugate import conjugate
@@ -42,6 +43,8 @@ __all__ = [
     "power_norm_closed_forms",
     "derivative_modular",
 ]
+
+_TINY = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -139,7 +142,12 @@ def _l1_against_bound(
     3.10-3.11 and compensated from 3.12 on, and a correctly rounded sum
     differs from both on some inputs, so only the builtin sum matches the
     check on every interpreter.  The result therefore depends on the atom
-    order (and, in the last bits, on the interpreter)."""
+    order (and, in the last bits, on the interpreter).
+
+    Each term is that left-to-right product wherever it and w_i |u_i| are
+    normal floats.  Otherwise a step left the normal range (w |u| = inf
+    where w |u| b* is finite, say), and the term is the product with the
+    exponents summed apart (_product)."""
     terms = []
     for (t, w), ui in zip(space.items(), u.values):
         if ui == 0.0:
@@ -147,8 +155,27 @@ def _l1_against_bound(
         b = conj.finite_bound(t)
         if math.isinf(b):
             raise DomainError("degenerate norm requires finite b* on the support")
-        terms.append(w * abs(ui) * b)
+        wm = w * abs(ui)
+        term = wm * b
+        if not (_TINY <= wm < math.inf and _TINY <= term < math.inf):
+            term = _product(w, abs(ui), b)
+        terms.append(term)
     return sum(terms)
+
+
+def _product(*factors: float) -> float:
+    """The product of finite factors, rounded as in left-to-right order
+    but with no overflow or underflow before the last step: the mantissas
+    are multiplied, and the exponents added, apart."""
+    mantissa, exponent = 1.0, 0
+    for x in factors:
+        f, e = math.frexp(x)
+        mantissa *= f
+        exponent += e
+    try:
+        return math.ldexp(mantissa, exponent)
+    except OverflowError:
+        return math.inf
 
 
 def k_interval(gen: OrliczGenerator, space: GridMeasureSpace, u: SimpleFunction) -> KSet:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -49,7 +50,11 @@ def sgn(x: float) -> int:
 @dataclass(frozen=True)
 class GridMeasureSpace:
     """Ordered atoms (coordinate, weight > 0); each atom stands for a cell
-    of width equal to its weight, centred at its coordinate."""
+    of width equal to its weight, centred at its coordinate.
+
+    A weight must be a normal float: below sys.float_info.min a unit
+    modular needs phi to reach 1/w, past the float range, so phi saturates
+    before the weight scales it back and the norms come out wrong."""
 
     coords: tuple[float, ...]
     weights: tuple[float, ...]
@@ -62,6 +67,11 @@ class GridMeasureSpace:
         for i, w in enumerate(self.weights):
             if not w > 0:
                 raise ValueError(f"atom {i}: weight must be > 0, got {w}")
+            if w < sys.float_info.min:
+                raise ValueError(
+                    f"atom {i}: weight must be a normal float "
+                    f"(>= {sys.float_info.min!r}), got {w!r}"
+                )
         for i in range(len(self.coords) - 1):
             if not self.coords[i] < self.coords[i + 1]:
                 raise ValueError(

@@ -11,11 +11,11 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from monorm import PowerGenerator, cli, geometry, selfcheck, truncate
 from monorm.cli import run
-from monorm.errors import InstanceError
+from monorm.errors import InstanceError, PostconditionError
 from monorm.instance import instance_digest, parse_instance
 from monorm.jsonio import jsonable, to_json
 
@@ -37,6 +37,11 @@ def _write(tmp_path, payload, name="bad.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def _no_constant(name):
+    # json.loads takes NaN, Infinity and -Infinity, which are not JSON
+    raise ValueError(f"{name} is not JSON")
 
 
 def test_parse_instance(instance_file):
@@ -187,6 +192,43 @@ def test_oracle_when_the_start_magnitude_underflows(tmp_path, capsys, weight):
     assert report["luxemburg_bruteforce"] == pytest.approx(2e-300, rel=1e-9)
 
 
+def test_oracle_start_past_the_float_range(tmp_path, capsys):
+    # atom 0's start budget 1 / (3 w) makes its magnitude cap inf while its
+    # gain w |u| underflows to 0: the start stops at the magnitude ceiling,
+    # so no 0 * inf gives NaN
+    payload = {
+        "space": {"atoms": [
+            {"t": 0.1, "w": 1.37e-300}, {"t": 0.5, "w": 1e-100}, {"t": 0.9, "w": 1e-10},
+        ]},
+        "phi": {"family": "indicator", "c": 1.37e-10},
+        "functions": {"u1": [-1.37e-100, 1e100, 0.0]},
+    }
+    argv = ["oracle", "--instance", _write(tmp_path, payload), "--function", "u1"]
+    assert run(argv + ["--resolution", "8", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out, parse_constant=_no_constant)
+    for key in ("luxemburg", "orlicz"):
+        assert 0.0 < report[f"{key}_bruteforce"] <= report[key]
+
+
+def test_oracle_with_an_overflowing_gain_exits_3(tmp_path, capsys):
+    # w |u| = 1.7e318: every grid point's pairing is inf, which bounds
+    # nothing, while both norms are 1.7e18
+    payload = {
+        "space": {"atoms": [{"t": 0.5, "w": 1e10}]},
+        "phi": {"family": "linear", "slope": 1e-300},
+        "functions": {"u1": [1.7e308]},
+    }
+    path = _write(tmp_path, payload)
+    argv = ["oracle", "--instance", path, "--function", "u1", "--resolution", "8", "--json"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "oracle's lower bound is inf" in captured.err
+    assert run(["norm", "--instance", path, "--function", "u1", "--json"]) == 0
+    entry = json.loads(capsys.readouterr().out)["functions"]["u1"]
+    assert entry["orlicz"] == pytest.approx(entry["luxemburg"], rel=1e-10)
+
+
 def test_json_determinism(instance_file, capsys):
     run(["norm", "--instance", instance_file, "--function", "all", "--json"])
     first = capsys.readouterr().out
@@ -199,6 +241,33 @@ def test_to_json_stringifies_and_sorts_keys_in_one_pass():
     report = {2: (1.5, math.inf), "10": {"b": None, "a": True}, 1: [0, "x"]}
     expected = '{"1":[0,"x"],"10":{"a":true,"b":null},"2":[1.5,"inf"]}'
     assert to_json(report) == to_json(jsonable(report)) == expected
+
+
+def test_infinities_keep_their_sign():
+    report = {"a": -math.inf, "b": [math.inf, -0.5]}
+    assert to_json(report) == '{"a":"-inf","b":["inf",-0.5]}'
+    assert jsonable(report) == {"a": "-inf", "b": ["inf", -0.5]}
+
+
+def test_a_nan_leaf_names_its_key():
+    report = {"z": math.nan, "functions": {"u1": {"orlicz": 1.0, "gaps": [0.0, math.nan]}}}
+    for convert in (to_json, jsonable):
+        with pytest.raises(PostconditionError, match=r"NaN at functions\.u1\.gaps\[1\]$"):
+            convert(report)
+    with pytest.raises(PostconditionError, match="NaN at its top level"):
+        to_json(math.nan)
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_a_nan_report_exits_3_with_nothing_on_stdout(instance_file, capsys, monkeypatch, as_json):
+    monkeypatch.setitem(
+        cli.COMMANDS, "gap", (lambda args, inst: {"locations": [math.nan]}, *cli.COMMANDS["gap"][1:])
+    )
+    argv = ["gap", "--instance", instance_file, "--delta", "0.5"]
+    assert run(argv + ["--json"] * as_json) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "NaN at locations[0]" in captured.err
 
 
 def test_report_round_trip(instance_file, capsys):
@@ -451,13 +520,6 @@ def test_text_output_has_wall_time(instance_file, capsys):
     assert "wall_time_s" in out
 
 
-def test_tol_override_env(instance_file, capsys, monkeypatch):
-    monkeypatch.setenv("MO_TOL_OVERRIDE", "10.0")
-    code = run(["support", "--instance", instance_file, "--function", "u1", "--json"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0 and report["verified"] is True
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize(
     "where",
@@ -485,20 +547,6 @@ def test_non_finite_numbers_are_input_errors(tmp_path, capsys, bad, where):
         parse_instance(path)
     assert run(["norm", "--instance", path, "--function", "u2"]) == 2
     assert "must be finite" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("value", ["abc", "", "0", "-1", "nan", "inf"])
-def test_tol_override_rejects_bad_values(instance_file, capsys, monkeypatch, value):
-    monkeypatch.setenv("MO_TOL_OVERRIDE", value)
-    for cmd in (
-        ["smooth-space", "--instance", instance_file],
-        ["smooth-point", "--instance", instance_file, "--function", "u2"],
-        ["support", "--instance", instance_file, "--function", "u1"],
-        ["norm", "--instance", instance_file, "--function", "u1"],
-        ["gap", "--instance", instance_file, "--delta", "0.5"],
-    ):
-        assert run(cmd) == 2
-        assert "MO_TOL_OVERRIDE" in capsys.readouterr().err
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -891,3 +939,121 @@ def test_a_valid_call_does_not_load_argparse(instance_file):
         "print(before, 'argparse' in sys.modules)"
     )
     assert _fresh_stdout(code) == "False True"
+
+
+# ---------------------------------------------------------------------------
+# the fuzzed CLI contract: every instance ends in exit 0, 2 or 3
+# ---------------------------------------------------------------------------
+
+#: magnitudes from the smallest subnormal to near the largest float
+_MAGNITUDES = st.one_of(
+    st.sampled_from([5e-324, 1e-310, 1e-300, 1e-10, 0.5, 1.0, 2.0, 1e10, 1e300, 1.7e308]),
+    st.floats(min_value=5e-324, max_value=1.7e308),
+)
+_ENTRIES = st.one_of(st.just(0.0), _MAGNITUDES, _MAGNITUDES.map(lambda x: -x))
+_PIECE = st.fixed_dictionaries({"width": _MAGNITUDES, "jump": _MAGNITUDES, "slope": _MAGNITUDES})
+
+
+@st.composite
+def _fuzz_instances(draw):
+    n = draw(st.integers(1, 4))
+    family = draw(st.sampled_from(
+        ["power", "varexp", "expminusone", "xlogx", "linear", "indicator", "plq"]
+    ))
+    phi = {"family": family}
+    if family == "power":
+        phi["p"] = 1.0 + draw(_MAGNITUDES)
+    elif family == "varexp":
+        phi["p_values"] = [1.0 + draw(_MAGNITUDES) for _ in range(n)]
+        if draw(st.booleans()):
+            phi["c_values"] = [draw(_MAGNITUDES) for _ in range(n)]
+    elif family == "linear":
+        phi["slope"] = draw(_MAGNITUDES)
+    elif family == "indicator":
+        phi["c"] = draw(_MAGNITUDES)
+    elif family == "plq":
+        pieces = draw(st.lists(_PIECE, min_size=1, max_size=3))
+        del pieces[-1]["width"]
+        phi["pieces"] = pieces
+        phi["bounded"] = draw(st.booleans())
+    if draw(st.booleans()):
+        phi["truncate"] = draw(_MAGNITUDES)
+    vector = st.lists(_ENTRIES, min_size=n, max_size=n)
+    return {
+        "space": {"atoms": [
+            {"t": (j + 0.5) / n, "w": draw(_MAGNITUDES)} for j in range(n)
+        ]},
+        "phi": phi,
+        "functions": {"u1": draw(vector), "v1": draw(vector)},
+    }
+
+
+_FUZZ_FLAGS = {
+    "norm": st.tuples(st.just("--function"), st.sampled_from(["u1", "all"]),
+                      st.just("--which"), st.sampled_from(["luxemburg", "orlicz", "all"])),
+    "conjugate": st.tuples(st.just("--atom"), st.integers(0, 3).map(str),
+                           st.just("--v-max"), _ENTRIES.map(repr),
+                           st.just("--points"), st.integers(1, 4).map(str)),
+    "dual": st.tuples(st.just("--density"), st.just("v1"),
+                      st.just("--singular"), _ENTRIES.map(repr)),
+    "oracle": st.tuples(st.just("--function"), st.just("u1"),
+                        st.just("--resolution"), st.integers(2, 8).map(str)),
+    "support": st.just(("--function", "u1")),
+    "smooth-point": st.just(("--function", "u1")),
+    "smooth-space": st.just(()),
+    "delta2": st.tuples(st.just("--K"), _ENTRIES.map(repr),
+                        st.sampled_from([("--f-const", "0.0"), ("--f-function", "u1")]),
+                        st.just("--horizon"), _ENTRIES.map(repr)).map(
+        lambda f: f[:2] + f[2] + f[3:]
+    ),
+    "gap": st.tuples(st.just("--delta"), _ENTRIES.map(repr)),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz") / "inst.json"
+
+
+def _fuzz_run(path, payload, line):
+    """(exit code, stdout, stderr) of `line` with --json on `payload`."""
+    path.write_text(json.dumps(payload))
+    argv = [line[0], "--instance", str(path), *line[1:], "--json"]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=600, derandomize=True)
+@given(
+    payload=_fuzz_instances(),
+    line=st.sampled_from(sorted(_FUZZ_FLAGS)).flatmap(
+        lambda command: _FUZZ_FLAGS[command].map(lambda flags: (command, *flags))
+    ),
+)
+def test_fuzzed_instances_keep_the_cli_contract(payload, line, fuzz_path):
+    code, out, err = _fuzz_run(fuzz_path, payload, line)
+    assert code in (0, 2, 3), (line, payload)
+    assert "Traceback" not in err
+    if code == 0:
+        json.loads(out, parse_constant=_no_constant)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at extreme scales the chain fails (CHANGES.md FOUND: generator "
+    "cancellation, norms below the normal floats, products that underflow)",
+)
+@settings(max_examples=300, derandomize=True, phases=[Phase.generate])
+@given(payload=_fuzz_instances())
+def test_fuzzed_norms_keep_the_criterion_1_chain(payload, fuzz_path):
+    # luxemburg <= orlicz <= 2 luxemburg wherever both norms are finite
+    code, out, _ = _fuzz_run(fuzz_path, payload, ("norm", "--function", "u1"))
+    if code != 0:
+        return
+    entry = json.loads(out)["functions"]["u1"]
+    lux, orl = entry["luxemburg"], entry["orlicz"]
+    if isinstance(lux, float) and isinstance(orl, float):
+        assert lux <= orl * (1 + 1e-9) and orl <= 2 * lux * (1 + 1e-9), (payload, entry)

@@ -76,6 +76,27 @@ def test_k_interval_examples(two_atoms):
     assert ks.l1_value == pytest.approx(1.5, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "w, ui, slope, norm",
+    [
+        # w |u| = 1.7e318 is past the float range, w |u| b* is not
+        (1e10, 1.7e308, 1e-300, 1.7e18),
+        # w |u| = 2.6e-344 underflows to 0, w |u| b* does not
+        (1.873441763065546e-71, 1.3956756640413769e-273, 3.2451807865524273e227,
+         8.4852296196e-117),
+    ],
+)
+def test_degenerate_norm_when_weight_times_entry_leaves_the_float_range(w, ui, slope, norm):
+    # for a linear phi the Orlicz and Luxemburg norms are equal
+    space = GridMeasureSpace((0.5,), (w,))
+    u = SimpleFunction.on(space, (ui,))
+    gen = LinearGenerator(slope)
+    orl, ks = orlicz_amemiya_norm(gen, space, u)
+    assert isinstance(ks, KSetDegenerate)
+    assert orl == pytest.approx(norm, rel=1e-10, abs=0.0)
+    assert orl == pytest.approx(luxemburg_norm(gen, space, u), rel=1e-10, abs=0.0)
+
+
 def test_k_interval_one_bracket_when_strictly_convex(monkeypatch):
     # for a strictly convex generator k* = k**, which the k* bracket already
     # shows, so one evaluation replaces the second bisection

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -13,6 +15,14 @@ def test_construction_validates():
         GridMeasureSpace((0.1, 0.2), (1.0, 0.0))
     with pytest.raises(ValueError):
         GridMeasureSpace((0.2, 0.1), (1.0, 1.0))
+
+
+@pytest.mark.parametrize("w", [1e-310, 5e-324])
+def test_subnormal_weight_is_rejected(w):
+    # a unit modular would need phi to reach 1 / w, past the float range
+    with pytest.raises(ValueError, match=r"^atom 0: weight must be a normal float"):
+        GridMeasureSpace((0.5,), (w,))
+    assert GridMeasureSpace((0.5,), (sys.float_info.min,)).weights == (sys.float_info.min,)
 
 
 def test_uniform_midpoints():
