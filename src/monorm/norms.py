@@ -20,7 +20,6 @@ Downstream "= 1" tests use a 1e-7 equality band.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 
 from .conjugate import conjugate
@@ -43,9 +42,6 @@ __all__ = [
     "power_norm_closed_forms",
     "derivative_modular",
 ]
-
-_TINY = sys.float_info.min
-
 
 @dataclass(frozen=True)
 class KSetNonEmpty:
@@ -144,10 +140,10 @@ def _l1_against_bound(
     check on every interpreter.  The result therefore depends on the atom
     order (and, in the last bits, on the interpreter).
 
-    Each term is that left-to-right product wherever it and w_i |u_i| are
-    normal floats.  Otherwise a step left the normal range (w |u| = inf
-    where w |u| b* is finite, say), and the term is the product with the
-    exponents summed apart (_product)."""
+    Each term is formed by _product, which scales only by powers of two, so
+    it has the bits of the left-to-right product wherever that product and
+    w_i |u_i| are normal floats, and stays finite where w |u| alone would
+    overflow."""
     terms = []
     for (t, w), ui in zip(space.items(), u.values):
         if ui == 0.0:
@@ -155,11 +151,7 @@ def _l1_against_bound(
         b = conj.finite_bound(t)
         if math.isinf(b):
             raise DomainError("degenerate norm requires finite b* on the support")
-        wm = w * abs(ui)
-        term = wm * b
-        if not (_TINY <= wm < math.inf and _TINY <= term < math.inf):
-            term = _product(w, abs(ui), b)
-        terms.append(term)
+        terms.append(_product(w, abs(ui), b))
     return sum(terms)
 
 
