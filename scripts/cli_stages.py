@@ -7,6 +7,7 @@ each with --json.
     python scripts/cli_stages.py              # golden lines, three rounds
     python scripts/cli_stages.py --rounds 5
     python scripts/cli_stages.py --workload atoms-small --seed 7 --ops 660
+    python scripts/cli_stages.py --fresh      # whole calls, import included
 
 With --workload, the lines are those of workload ops 0 to --ops - 1 that
 are neither a brute-force oracle nor an op that must fail, read from
@@ -25,6 +26,14 @@ before each `run`, so every call pays its cold cost, as it would in a
 fresh process.  A row gives the mean over its lines and every round; the
 last line gives the `run` mean of each round.  State the machine and the
 bytecode setting next to numbers quoted from here.
+
+With --fresh, every line instead runs as `python -m monorm <line>` in a
+fresh interpreter, this checkout's src/ first on the path and the
+environment otherwise as given, and a row gives the median wall time in
+milliseconds of its subcommand's calls over every round: the time a
+one-shot call costs, import included.  The header names the Python
+version and the bytecode setting (whether bytecode is written, and whether
+a cache already sits under src/monorm).
 """
 
 from __future__ import annotations
@@ -33,7 +42,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import platform
+import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -117,6 +129,8 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=1, help="workload seed (default 1)")
     parser.add_argument("--ops", type=int, default=660,
                         help="workload ops to draw from (default 660, ten periods)")
+    parser.add_argument("--fresh", action="store_true",
+                        help="time each whole call in a fresh interpreter, import included")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -127,7 +141,8 @@ def main() -> int:
         else:
             lines = workload_lines(args.seed, args.ops, Path(tmp))
             source = f"{args.workload} seed {args.seed}"
-        return _report(lines, args.rounds, source)
+        report = _report_fresh if args.fresh else _report
+        return report(lines, args.rounds, source)
 
 
 def _report(lines: list[list[str]], rounds: int, source: str) -> int:
@@ -160,6 +175,35 @@ def _report(lines: list[list[str]], rounds: int, source: str) -> int:
     n = len(lines) * rounds
     print(f"{'all':14s} {len(lines):5d}" + "".join(f" {1e6 * every[s] / n:14.0f}" for s in STAGES))
     print("run per round: " + " / ".join(f"{1e6 * r:.0f}" for r in round_run))
+    return 0
+
+
+def _report_fresh(lines: list[list[str]], rounds: int, source: str) -> int:
+    """Run every line `rounds` times, each in a fresh interpreter, and
+    print the median wall time per subcommand."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    times: dict[str, list[float]] = {}
+    for _ in range(rounds):
+        for argv in lines:
+            t0 = time.perf_counter()
+            proc = subprocess.run([sys.executable, "-m", "monorm", *argv], env=env,
+                                  stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
+            elapsed = time.perf_counter() - t0
+            if proc.returncode != 0:
+                raise SystemExit(f"{' '.join(argv)}: exit code {proc.returncode}")
+            times.setdefault(argv[0], []).append(elapsed)
+
+    written = "not written" if os.environ.get("PYTHONDONTWRITEBYTECODE") else "written"
+    cached = "a" if (ROOT / "src" / "monorm" / "__pycache__").exists() else "no"
+    print(f"# CPython {platform.python_version()}, {source}, {len(lines)} lines, "
+          f"{rounds} rounds, fresh interpreters; bytecode {written}, {cached} cache "
+          "under src/monorm; median milliseconds per call")
+    print(f"{'command':14s} {'lines':>5s} {'median':>8s}")
+    for command, values in times.items():
+        print(f"{command:14s} {len(values) // rounds:5d} {1e3 * statistics.median(values):8.1f}")
+    every = [t for values in times.values() for t in values]
+    print(f"{'all':14s} {len(lines):5d} {1e3 * statistics.median(every):8.1f}")
     return 0
 
 

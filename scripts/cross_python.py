@@ -8,11 +8,14 @@ Without arguments the interpreters are ~/.pyenv/versions/*/bin/python3 and
 python3.10 ... python3.13 on the PATH, each taken once (by the real path of
 its sys.executable); those below 3.10 or that do not start (a pyenv shim
 of a version not selected) are skipped.  Under each one it runs
-`monorm selftest` and `scripts/regen_golden.py --check` from this checkout
-(PYTHONPATH=src, no bytecode written), the two side by side, and prints one
-line: the version, both outcomes and the interpreter.  A failing selftest
-names its failing criteria, a failing check its report count.  Needs no
-pytest.  Exits 1 when any interpreter fails either, 2 when none is found.
+`monorm selftest`, `scripts/regen_golden.py --check` and the import
+boundary check (`import monorm` loads the numeric core and none of
+geometry, duality, gallery, instance, selfcheck or json) from this checkout
+(PYTHONPATH=src, no bytecode written), the three side by side, and prints
+one line: the version, the outcomes and the interpreter.  A failing
+selftest names its failing criteria, a failing check its report count, a
+failing boundary the modules loaded past it.  Needs no pytest.  Exits 1
+when any interpreter fails one of them, 2 when none is found.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ OLDEST = (3, 10)
 TIMEOUT_S = 600
 
 _PROBE = "import os, sys; print('%d.%d.%d' % sys.version_info[:3]); print(os.path.realpath(sys.executable))"
+_BOUNDARY = (
+    "import sys, monorm; extra = sorted({'monorm.geometry', 'monorm.duality', 'monorm.gallery', "
+    "'monorm.instance', 'monorm.selfcheck', 'json'} & set(sys.modules)); "
+    "assert 'monorm.conjugate' in sys.modules and not extra, extra"
+)
 
 
 def candidates() -> list[str]:
@@ -55,16 +63,18 @@ def probe(python: str) -> tuple[tuple[int, ...], str] | None:
 
 
 def check(python: str) -> tuple[bool, str]:
-    """(passed, one line) for selftest and the golden check under python."""
+    """(passed, one line) for selftest, the golden check and the import
+    boundary under python."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONDONTWRITEBYTECODE="1")
     runs = [
         subprocess.Popen(
             [python, *argv], cwd=ROOT, env=env, text=True,
             stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
         )
-        for argv in (["-m", "monorm", "selftest"], ["scripts/regen_golden.py", "--check"])
+        for argv in (["-m", "monorm", "selftest"], ["scripts/regen_golden.py", "--check"],
+                     ["-c", _BOUNDARY])
     ]
-    (self_out, self_code), (gold_out, gold_code) = [
+    (self_out, self_code), (gold_out, gold_code), (bound_out, bound_code) = [
         (run.communicate(timeout=TIMEOUT_S)[0], run.returncode) for run in runs
     ]
     failed = [line.split("  ", 1)[1].split(":")[0] for line in self_out.splitlines()
@@ -74,7 +84,12 @@ def check(python: str) -> tuple[bool, str]:
     )
     lines = gold_out.strip().splitlines()
     golden = f"golden {lines[-1] if lines else f'exit {gold_code}'}"
-    return self_code == 0 and gold_code == 0, f"{selftest}, {golden}"
+    bound_lines = bound_out.strip().splitlines()
+    boundary = "import boundary ok" if bound_code == 0 else (
+        f"import boundary FAILED ({bound_lines[-1] if bound_lines else f'exit {bound_code}'})"
+    )
+    passed = self_code == 0 and gold_code == 0 and bound_code == 0
+    return passed, f"{selftest}, {golden}, {boundary}"
 
 
 def main(argv: list[str]) -> int:

@@ -4,7 +4,9 @@ deterministic JSON reports.
 `COMMANDS` is the grammar.  A valid line in the plain form is read straight
 from it (`_read_line`); argparse is imported, and the parsers are built from
 the same table, only for any other line, so the usage, help and error texts
-are argparse's own.
+are argparse's own.  Each handler imports what it calls beyond the numeric
+core, so `norm`, `conjugate` and `delta2` never load `duality`, `geometry`
+or `gallery`.
 
 Exit codes: 0 success, 2 input or validation error, 3 numerical failure (a
 bracket that leaves float range or a result that fails its own check, so
@@ -22,20 +24,7 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
 from .conjugate import conjugate
-from .duality import (
-    DualDensity,
-    dual_functional_norm,
-    luxemburg_norm_bruteforce,
-    orlicz_norm_bruteforce,
-)
 from .errors import BracketError, MonormError, PostconditionError
-from .gallery import gallery_report
-from .geometry import (
-    check_space_smoothness,
-    classify_smooth_point,
-    construct_support_functional,
-    smoothness_gap_function,
-)
 from .instance import Instance, parse_instance
 from .jsonio import jsonable, to_json
 from .norms import KSetNonEmpty, delta2_check, luxemburg_norm, orlicz_amemiya_norm, theta
@@ -102,6 +91,8 @@ def _cmd_conjugate(args, inst: Instance) -> dict:
 
 
 def _cmd_dual(args, inst: Instance) -> dict:
+    from .duality import DualDensity, dual_functional_norm
+
     v = _function(inst, args.density)
     d = DualDensity(v, args.singular)
     return {
@@ -112,6 +103,8 @@ def _cmd_dual(args, inst: Instance) -> dict:
 
 
 def _cmd_oracle(args, inst: Instance) -> dict:
+    from .duality import luxemburg_norm_bruteforce, orlicz_norm_bruteforce
+
     u = _function(inst, args.function)
     orl_bf = orlicz_norm_bruteforce(inst.phi, inst.space, u, args.resolution)
     lux_bf = luxemburg_norm_bruteforce(inst.phi, inst.space, u, args.resolution)
@@ -130,6 +123,8 @@ def _cmd_oracle(args, inst: Instance) -> dict:
 
 
 def _cmd_support(args, inst: Instance) -> dict:
+    from .geometry import construct_support_functional
+
     u = _function(inst, args.function)
     sf = construct_support_functional(inst.phi, inst.space, u)
     return {
@@ -154,6 +149,8 @@ def _cmd_support(args, inst: Instance) -> dict:
 
 
 def _cmd_smooth_point(args, inst: Instance) -> dict:
+    from .geometry import classify_smooth_point
+
     u = _function(inst, args.function)
     rep = classify_smooth_point(inst.phi, inst.space, u)
     return {
@@ -172,6 +169,8 @@ def _cmd_smooth_point(args, inst: Instance) -> dict:
 
 
 def _cmd_smooth_space(args, inst: Instance) -> dict:
+    from .geometry import check_space_smoothness
+
     rep = check_space_smoothness(inst.phi, inst.space)
     return {
         "smooth": rep.smooth,
@@ -207,6 +206,8 @@ def _cmd_delta2(args, inst: Instance) -> dict:
 
 
 def _cmd_gap(args, inst: Instance) -> dict:
+    from .geometry import smoothness_gap_function
+
     prof = smoothness_gap_function(inst.phi, inst.space, args.delta)
     return {
         "delta": args.delta,
@@ -216,6 +217,8 @@ def _cmd_gap(args, inst: Instance) -> dict:
 
 
 def _cmd_gallery(args, inst: None) -> dict:
+    from .gallery import gallery_report
+
     return gallery_report(args.ladder)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -38,6 +39,9 @@ from typing import NamedTuple, Sequence
 
 from .errors import DomainError, SpaceMismatchError
 from .space import GridMeasureSpace, SimpleFunction, weighted_sum
+
+#: the smallest positive normal float
+_MIN_NORMAL = sys.float_info.min
 
 __all__ = [
     "OrliczGenerator",
@@ -58,13 +62,26 @@ __all__ = [
 
 
 def _pow(x: float, p: float, coef: float = 1.0) -> float:
-    """coef * x**p with overflow saturating to math.inf."""
-    if x == 0.0:
-        return 0.0
+    """coef * x**p with overflow saturating to math.inf; where x**p alone
+    leaves the normal floats, the product is formed from logarithms."""
     try:
-        return coef * x**p
+        power = x**p
     except OverflowError:
+        return _pow_from_logs(x, p, coef)
+    if power < _MIN_NORMAL:  # x = 0, or x**p underflowed
+        return 0.0 if x == 0.0 else _pow_from_logs(x, p, coef)
+    return coef * power
+
+
+def _pow_from_logs(x: float, p: float, coef: float) -> float:
+    """coef * x**p for finite x > 0 where x**p leaves the normal floats,
+    formed from base-2 logarithms: 0 or inf only where the product itself
+    is out of range, not where the power alone is."""
+    exponent = p * math.log2(x) + math.log2(coef)
+    if exponent >= 1024.0:
         return math.inf
+    whole = math.floor(exponent)
+    return math.ldexp(2.0 ** (exponent - whole), whole)
 
 
 def _expm1(x: float) -> float:

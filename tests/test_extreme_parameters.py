@@ -5,12 +5,21 @@ the family's constructor (exit 2); overflow during evaluation saturates.
 The space-smoothness verdict of a scale parameter does not depend on x."""
 
 import json
+import math
 
 import pytest
 
-from monorm import GridMeasureSpace, conjugate
+from monorm import (
+    GridMeasureSpace,
+    SimpleFunction,
+    VariableExponentGenerator,
+    conjugate,
+    luxemburg_norm,
+    orlicz_amemiya_norm,
+)
 from monorm.cli import run
 from monorm.errors import InstanceError
+from monorm.generators import _pow
 from monorm.instance import build_generator
 from generator_checks import validate_generator
 
@@ -114,3 +123,37 @@ def test_smooth_space_verdicts_do_not_depend_on_the_scale(tmp_path, capsys):
                 assert verdict == want, phi
                 accepted += 1
     assert accepted == 72
+
+
+@pytest.mark.parametrize(
+    "x, p, coef, want",
+    [
+        (1e-200, 2.0, 1e300, 1e-100),  # x**p underflows to 0
+        (1e-160, 2.0, 1e300, 1e-20),  # x**p is subnormal
+        (1e200, 2.0, 1e-300, 1e100),  # x**p overflows
+        (1e200, 2.0, 1e10, math.inf),  # so does the product
+        (1e-200, 2.0, 1e-300, 0.0),  # the product underflows
+    ],
+)
+def test_pow_is_out_of_range_only_where_the_product_is(x, p, coef, want):
+    got = _pow(x, p, coef)
+    assert got == want or abs(got - want) <= 1e-12 * want
+
+
+def test_pow_keeps_the_bits_of_an_in_range_product():
+    for x, p, coef in [(3.7, 2.303, 1e300), (1e-100, 2.5, 7.0), (2.0, 1.5, 1.0 / 1.5)]:
+        assert _pow(x, p, coef) == coef * x**p
+
+
+def test_varexp_norm_where_the_power_underflows():
+    # one atom: phi(u / lam) = c (u / lam)**p underflows in (u / lam)**p
+    # while w c (u / lam)**p = 1, so the Luxemburg norm is (w c)**(1/p)
+    w, p, c = 2.31e111, 2.303, 1e300
+    space = GridMeasureSpace((0.5,), (w,))
+    gen = VariableExponentGenerator.from_values(space, [p], [c])
+    u = SimpleFunction.on(space, (1.0,))
+    lux = luxemburg_norm(gen, space, u)
+    orl, _ = orlicz_amemiya_norm(gen, space, u)
+    want = math.exp((math.log(w) + math.log(c)) / p)  # w * c overflows
+    assert lux == pytest.approx(want, rel=1e-9)
+    assert lux <= orl <= 2 * lux
