@@ -28,8 +28,8 @@ last line gives the `run` mean of each round.  State the machine and the
 bytecode setting next to numbers quoted from here.
 
 With --fresh, every line instead runs as `python -m monorm <line>` in a
-fresh interpreter, this checkout's src/ first on the path and the
-environment otherwise as given, and a row gives the median wall time in
+fresh interpreter (PYTHONPATH=src, the environment otherwise as
+given), and a row gives the median wall time in
 milliseconds of its subcommand's calls over every round: the time a
 one-shot call costs, import included.  The header names the Python
 version and the bytecode setting (whether bytecode is written, and whether
@@ -181,8 +181,7 @@ def _report(lines: list[list[str]], rounds: int, source: str) -> int:
 def _report_fresh(lines: list[list[str]], rounds: int, source: str) -> int:
     """Run every line `rounds` times, each in a fresh interpreter, and
     print the median wall time per subcommand."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))))
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     times: dict[str, list[float]] = {}
     for _ in range(rounds):
         for argv in lines:
